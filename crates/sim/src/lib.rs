@@ -9,7 +9,8 @@
 //! The simulator provides everything the paper measured with real hardware
 //! and OProfile:
 //!
-//! * a sparse simulated address space with real backing bytes
+//! * a simulated address space with real backing bytes, frames
+//!   materialized on first write behind a direct-indexed frame table
 //!   ([`SimMemory`]), so allocators keep their metadata *in* simulated RAM;
 //! * set-associative L1I/L1D caches per core, a shared L2 per sharing
 //!   group, and a split D-TLB with 4 KB and 4 MB pages
