@@ -1,10 +1,10 @@
 //! The allocator interface and the paper's Table 1 taxonomy.
 //!
-//! Every allocator in this crate implements [`Allocator`]: `malloc`,
-//! per-object `free` (where supported), `realloc`, and `free_all` — the
-//! paper's `freeAll` bulk-free hook called by the PHP runtime at the end of
-//! each transaction. Allocators run entirely against a
-//! [`MemoryPort`], keeping their metadata in simulated memory so that
+//! Every allocator in this crate implements [`AllocInfo`] (name, Table 1
+//! traits, footprint, statistics) and [`Allocator`]: `malloc`, per-object
+//! `free` (where supported), `realloc`, and `free_all` — the paper's
+//! `freeAll` bulk-free hook called by the PHP runtime at the end of each
+//! transaction. Allocators run entirely against a [`MemoryPort`], keeping their metadata in simulated memory so that
 //! free-list walks, header updates and segment carving generate exactly the
 //! cache traffic the paper attributes to them.
 //!
@@ -136,25 +136,16 @@ pub struct OpStats {
     pub bytes_requested: u64,
 }
 
-/// A dynamic memory allocator operating on simulated memory.
+/// The port-free half of an allocator: identity, taxonomy and accounting.
 ///
-/// # Contract
-///
-/// * Returned addresses are nonzero, aligned to at least 8 bytes, and the
-///   ranges `[addr, addr + size)` of live objects never overlap.
-/// * `free`/`realloc` must only be called with addresses currently live
-///   from this allocator (checked by the validation layer in tests).
-/// * Implementations set the port's cost category to
-///   [`Category::MemoryManagement`] and select their own code region on
-///   entry, and restore the category to [`Category::Application`] on exit.
-///   Callers re-select their code region before executing their own code.
-///
-/// The [`HeapTelemetry`](webmm_obs::HeapTelemetry) supertrait makes every
-/// allocator live-inspectable: `heap_snapshot` reports size-class
-/// occupancy, free-list lengths, segment counts and cumulative `freeAll`
-/// cost from Rust-side mirror counters, without touching the port or the
-/// simulated heap.
-pub trait Allocator: webmm_obs::HeapTelemetry {
+/// Everything here is answered from Rust-side state, so it can be asked of
+/// any allocator regardless of which [`MemoryPort`] type it is driven
+/// through. The [`HeapTelemetry`](webmm_obs::HeapTelemetry) supertrait
+/// makes every allocator live-inspectable: `heap_snapshot` reports
+/// size-class occupancy, free-list lengths, segment counts and cumulative
+/// `freeAll` cost from Rust-side mirror counters, without touching the
+/// port or the simulated heap.
+pub trait AllocInfo: webmm_obs::HeapTelemetry {
     /// Display name, matching the paper's figures where applicable.
     fn name(&self) -> &'static str;
 
@@ -166,20 +157,47 @@ pub trait Allocator: webmm_obs::HeapTelemetry {
     /// allocator's L1I improvements to their smaller code).
     fn code_spec(&self) -> CodeSpec;
 
+    /// Current memory consumption (Figure 9 definitions).
+    fn footprint(&self) -> Footprint;
+
+    /// Lifetime operation counts.
+    fn stats(&self) -> OpStats;
+}
+
+/// A dynamic memory allocator operating on simulated memory through a port
+/// of type `P`.
+///
+/// Every allocator implements this once, generically over `P`, so the same
+/// body serves two instantiations: a concrete port such as
+/// [`PlainPort`](webmm_sim::PlainPort), where every simulated load, store
+/// and `exec` is a direct (inlinable) call, and the default
+/// `dyn MemoryPort`, which the simulator uses (see [`DynAllocator`]).
+///
+/// # Contract
+///
+/// * Returned addresses are nonzero, aligned to at least 8 bytes, and the
+///   ranges `[addr, addr + size)` of live objects never overlap.
+/// * `free`/`realloc` must only be called with addresses currently live
+///   from this allocator (checked by the validation layer in tests).
+/// * Implementations set the port's cost category to
+///   [`Category::MemoryManagement`] and select their own code region on
+///   entry, and restore the category to [`Category::Application`] on exit.
+///   Callers re-select their code region before executing their own code.
+pub trait Allocator<P: MemoryPort + ?Sized = dyn MemoryPort>: AllocInfo {
     /// Allocates `size` bytes.
     ///
     /// # Errors
     ///
     /// Returns [`AllocError::InvalidRequest`] for zero-sized or oversized
     /// requests and [`AllocError::OutOfMemory`] when the heap is exhausted.
-    fn malloc(&mut self, port: &mut dyn MemoryPort, size: u64) -> Result<Addr, AllocError>;
+    fn malloc(&mut self, port: &mut P, size: u64) -> Result<Addr, AllocError>;
 
     /// Frees the object at `addr`.
     ///
     /// For allocators without per-object free (region, obstack) this is a
     /// no-op; the runtime consults [`AllocTraits::per_object_free`] and
     /// omits the calls, as the paper's porting recipe requires.
-    fn free(&mut self, port: &mut dyn MemoryPort, addr: Addr);
+    fn free(&mut self, port: &mut P, addr: Addr);
 
     /// Resizes the object at `addr` to `new_size` bytes, moving it if
     /// necessary. `old_size` is the caller-tracked payload size, used only
@@ -190,7 +208,7 @@ pub trait Allocator: webmm_obs::HeapTelemetry {
     /// Same conditions as [`Allocator::malloc`].
     fn realloc(
         &mut self,
-        port: &mut dyn MemoryPort,
+        port: &mut P,
         addr: Addr,
         old_size: u64,
         new_size: u64,
@@ -200,21 +218,22 @@ pub trait Allocator: webmm_obs::HeapTelemetry {
     ///
     /// Implementations that do not support bulk freeing (glibc-, Hoard- and
     /// TCmalloc-style) panic; consult [`AllocTraits::bulk_free`] first.
-    fn free_all(&mut self, port: &mut dyn MemoryPort);
-
-    /// Current memory consumption (Figure 9 definitions).
-    fn footprint(&self) -> Footprint;
-
-    /// Lifetime operation counts.
-    fn stats(&self) -> OpStats;
+    fn free_all(&mut self, port: &mut P);
 }
+
+/// An allocator driven through a `dyn MemoryPort` of any lifetime.
+///
+/// The simulator's [`ContextPort`](webmm_sim::ContextPort) borrows the
+/// machine for one execution slice, so a heap that outlives the slice must
+/// accept a port of any lifetime, not only `dyn MemoryPort + 'static`.
+pub type DynAllocator = dyn for<'p> Allocator<dyn MemoryPort + 'p>;
 
 /// Sets the port up for allocator work: memory-management category plus the
 /// allocator's code region (registered lazily on first use as *shared
 /// text* — allocators are shared libraries, so every process fetches the
 /// same lines).
-pub(crate) fn enter_mm(
-    port: &mut dyn MemoryPort,
+pub(crate) fn enter_mm<P: MemoryPort + ?Sized>(
+    port: &mut P,
     code_id: &mut Option<webmm_sim::CodeRegionId>,
     spec: CodeSpec,
 ) {
@@ -228,7 +247,7 @@ pub(crate) fn enter_mm(
 }
 
 /// Restores the application category on exit from allocator code.
-pub(crate) fn exit_mm(port: &mut dyn MemoryPort) {
+pub(crate) fn exit_mm<P: MemoryPort + ?Sized>(port: &mut P) {
     port.set_category(Category::Application);
 }
 

@@ -32,6 +32,9 @@ const N_BINS: usize = N_SMALL_BINS + N_LARGE_BINS;
 const PROBE_CAP: u32 = 8;
 /// Insertion-walk cap (sorted mode).
 const SORT_CAP: u32 = 16;
+/// Bookkeeping charges below this are looked up in a table built at
+/// construction; every charge this engine makes is below it.
+const EXEC_TABLE: usize = 16;
 
 /// `size_flags` bit: block is allocated.
 const F_USED: u64 = 1;
@@ -63,6 +66,9 @@ pub(crate) struct BoundaryHeap {
     /// allocator's paths are leaner than glibc's (fewer consistency checks,
     /// no arena locking protocol), which this calibrates.
     exec_scale: f64,
+    /// `scaled(n, exec_scale)` for every `n < EXEC_TABLE`, so the hot
+    /// path charges without float arithmetic.
+    exec_costs: [u64; EXEC_TABLE],
     layout: Option<Layout>,
     arenas: Vec<Addr>,
     /// Bytes carved in each arena since the last reset — the exclusive
@@ -70,6 +76,8 @@ pub(crate) struct BoundaryHeap {
     /// stale headers from previous transactions and inter-arena gaps are
     /// never misinterpreted.
     carved: Vec<u64>,
+    /// Running sum of `carved`.
+    carved_total: u64,
     current_arena: usize,
     tx_alloc_bytes: u64,
     peak_tx_alloc: u64,
@@ -80,6 +88,12 @@ pub(crate) struct BoundaryHeap {
     free_blocks: u64,
     free_bytes: u64,
     touched_hw: u64,
+}
+
+/// `n` bookkeeping instructions scaled by `scale`, rounded to the nearest
+/// whole instruction.
+fn scaled(n: u64, scale: f64) -> u64 {
+    (n as f64 * scale).round() as u64
 }
 
 impl BoundaryHeap {
@@ -102,9 +116,11 @@ impl BoundaryHeap {
             max_arenas,
             sorted_large_bins,
             exec_scale,
+            exec_costs: std::array::from_fn(|n| scaled(n as u64, exec_scale)),
             layout: None,
             arenas: Vec::new(),
             carved: Vec::new(),
+            carved_total: 0,
             current_arena: 0,
             tx_alloc_bytes: 0,
             peak_tx_alloc: 0,
@@ -116,8 +132,13 @@ impl BoundaryHeap {
     }
 
     /// Charges scaled bookkeeping instructions.
-    fn exec(&self, port: &mut dyn MemoryPort, n: u64) {
-        port.exec((n as f64 * self.exec_scale).round() as u64);
+    #[inline]
+    fn exec<P: MemoryPort + ?Sized>(&self, port: &mut P, n: u64) {
+        let cost = match self.exec_costs.get(n as usize) {
+            Some(&c) => c,
+            None => scaled(n, self.exec_scale),
+        };
+        port.exec(cost);
     }
 
     /// Total bytes obtained from the OS for arenas.
@@ -172,7 +193,7 @@ impl BoundaryHeap {
             .any(|&a| addr >= a && addr < a + self.arena_bytes)
     }
 
-    fn layout(&mut self, port: &mut dyn MemoryPort) -> Layout {
+    fn layout<P: MemoryPort + ?Sized>(&mut self, port: &mut P) -> Layout {
         if let Some(l) = self.layout {
             return l;
         }
@@ -207,9 +228,18 @@ impl BoundaryHeap {
             .expect("address outside every arena")
     }
 
-    /// Exclusive upper bound of valid block headers in `b`'s arena.
-    fn block_bound(&self, port: &mut dyn MemoryPort, l: &Layout, b: Addr) -> Addr {
-        let idx = self.arena_of(b);
+    /// Raises arena `idx`'s carved bound to at least `bytes`, keeping
+    /// `carved_total` in step.
+    fn raise_carved(&mut self, idx: usize, bytes: u64) {
+        let hw = &mut self.carved[idx];
+        if bytes > *hw {
+            self.carved_total += bytes - *hw;
+            *hw = bytes;
+        }
+    }
+
+    /// Exclusive upper bound of valid block headers in arena `idx`.
+    fn block_bound<P: MemoryPort + ?Sized>(&self, port: &mut P, l: &Layout, idx: usize) -> Addr {
         if idx == self.current_arena {
             Addr::new(port.load_u64(l.cursor))
         } else {
@@ -226,7 +256,7 @@ impl BoundaryHeap {
         }
     }
 
-    fn binmap_set(&self, port: &mut dyn MemoryPort, l: &Layout, bin: usize, set: bool) {
+    fn binmap_set<P: MemoryPort + ?Sized>(&self, port: &mut P, l: &Layout, bin: usize, set: bool) {
         let word_addr = l.binmap + (bin / 64) as u64 * 8;
         let mut w = port.load_u64(word_addr);
         if set {
@@ -241,7 +271,7 @@ impl BoundaryHeap {
     /// Inserts free block `b` (header already written) into its bin. In
     /// sorted mode, large bins are kept in ascending size order (Lea-style),
     /// which costs an insertion walk.
-    fn bin_insert(&mut self, port: &mut dyn MemoryPort, l: &Layout, b: Addr, size: u64) {
+    fn bin_insert<P: MemoryPort + ?Sized>(&mut self, port: &mut P, l: &Layout, b: Addr, size: u64) {
         self.free_blocks += 1;
         self.free_bytes += size;
         let bin = Self::bin_of(size);
@@ -293,7 +323,7 @@ impl BoundaryHeap {
     }
 
     /// Unlinks free block `b` of size `size` from its bin.
-    fn bin_unlink(&mut self, port: &mut dyn MemoryPort, l: &Layout, b: Addr, size: u64) {
+    fn bin_unlink<P: MemoryPort + ?Sized>(&mut self, port: &mut P, l: &Layout, b: Addr, size: u64) {
         self.free_blocks = self.free_blocks.saturating_sub(1);
         self.free_bytes = self.free_bytes.saturating_sub(size);
         let bin = Self::bin_of(size);
@@ -314,14 +344,14 @@ impl BoundaryHeap {
         self.exec(port, 8);
     }
 
-    fn read_header(&self, port: &mut dyn MemoryPort, b: Addr) -> (u64, u64) {
+    fn read_header<P: MemoryPort + ?Sized>(&self, port: &mut P, b: Addr) -> (u64, u64) {
         let size_flags = port.load_u64(b);
         (size_flags & !7, size_flags & 7)
     }
 
-    fn write_header(
+    fn write_header<P: MemoryPort + ?Sized>(
         &self,
-        port: &mut dyn MemoryPort,
+        port: &mut P,
         b: Addr,
         size: u64,
         used: bool,
@@ -341,9 +371,9 @@ impl BoundaryHeap {
     /// Updates the next physical block's prev_size and prev-used flag.
     /// `end` is the first address past the block; `bound` is the exclusive
     /// limit of valid headers in its arena.
-    fn sync_next(
+    fn sync_next<P: MemoryPort + ?Sized>(
         &self,
-        port: &mut dyn MemoryPort,
+        port: &mut P,
         end: Addr,
         bound: Addr,
         prev_size: u64,
@@ -364,7 +394,12 @@ impl BoundaryHeap {
     }
 
     /// Finds the first non-empty bin index >= `from` via the bitmap.
-    fn find_bin(&self, port: &mut dyn MemoryPort, l: &Layout, from: usize) -> Option<usize> {
+    fn find_bin<P: MemoryPort + ?Sized>(
+        &self,
+        port: &mut P,
+        l: &Layout,
+        from: usize,
+    ) -> Option<usize> {
         let mut word_idx = from / 64;
         let mut mask = !0u64 << (from % 64);
         while word_idx * 64 < N_BINS {
@@ -380,9 +415,9 @@ impl BoundaryHeap {
     }
 
     /// Carves `need` bytes from the wilderness, growing into new arenas.
-    fn carve(
+    fn carve<P: MemoryPort + ?Sized>(
         &mut self,
-        port: &mut dyn MemoryPort,
+        port: &mut P,
         l: &Layout,
         need: u64,
     ) -> Result<Addr, AllocError> {
@@ -393,10 +428,8 @@ impl BoundaryHeap {
             if cursor + need <= limit {
                 port.store_u64(l.cursor, (cursor + need).raw());
                 let base = self.arenas[self.current_arena];
-                let hw = &mut self.carved[self.current_arena];
-                *hw = (*hw).max((cursor + need) - base);
-                let total: u64 = self.carved.iter().sum();
-                self.touched_hw = self.touched_hw.max(total);
+                self.raise_carved(self.current_arena, (cursor + need) - base);
+                self.touched_hw = self.touched_hw.max(self.carved_total);
                 return Ok(cursor);
             }
             // Turn the arena remainder into a free block, then open the
@@ -407,7 +440,7 @@ impl BoundaryHeap {
                 // always follows an allocated or fresh region.
                 self.write_header(port, cursor, rem, false, true);
                 port.store_u64(l.cursor, limit.raw()); // seal before insert
-                self.carved[self.current_arena] = self.arena_bytes;
+                self.raise_carved(self.current_arena, self.arena_bytes);
                 self.bin_insert(port, l, cursor, rem);
             }
             if self.current_arena + 1 < self.arenas.len() {
@@ -429,7 +462,11 @@ impl BoundaryHeap {
     }
 
     /// Allocates `size` payload bytes.
-    pub fn malloc(&mut self, port: &mut dyn MemoryPort, size: u64) -> Result<Addr, AllocError> {
+    pub fn malloc<P: MemoryPort + ?Sized>(
+        &mut self,
+        port: &mut P,
+        size: u64,
+    ) -> Result<Addr, AllocError> {
         debug_assert!(
             size > 0,
             "zero-size request must be filtered by the wrapper"
@@ -485,7 +522,7 @@ impl BoundaryHeap {
             self.bin_unlink(port, &l, b, bs);
             let (_, flags) = self.read_header(port, b);
             let prev_used = flags & F_PREV_USED != 0;
-            let bound = self.block_bound(port, &l, b);
+            let bound = self.block_bound(port, &l, self.arena_of(b));
             if bs - need >= MIN_BLOCK {
                 // SPLIT: the defragmentation activity on the malloc side.
                 let rem = b + need;
@@ -517,7 +554,7 @@ impl BoundaryHeap {
 
     /// Frees the block whose payload starts at `addr`, coalescing with free
     /// physical neighbours.
-    pub fn free(&mut self, port: &mut dyn MemoryPort, addr: Addr) {
+    pub fn free<P: MemoryPort + ?Sized>(&mut self, port: &mut P, addr: Addr) {
         let l = self.layout(port);
         let mut b = addr - HEADER;
         let (mut size, flags) = self.read_header(port, b);
@@ -530,8 +567,9 @@ impl BoundaryHeap {
         self.live_blocks = self.live_blocks.saturating_sub(1);
 
         // COALESCE with the physical successor if it is free.
-        let in_current_arena = self.arena_of(b) == self.current_arena;
-        let bound = self.block_bound(port, &l, b);
+        let arena = self.arena_of(b);
+        let in_current_arena = arena == self.current_arena;
+        let bound = self.block_bound(port, &l, arena);
         let cursor = Addr::new(port.load_u64(l.cursor));
         let next = b + size;
         if next < bound {
@@ -579,7 +617,7 @@ impl BoundaryHeap {
     }
 
     /// Usable payload size of the live block at `addr`.
-    pub fn usable(&mut self, port: &mut dyn MemoryPort, addr: Addr) -> u64 {
+    pub fn usable<P: MemoryPort + ?Sized>(&mut self, port: &mut P, addr: Addr) -> u64 {
         let b = addr - HEADER;
         let (size, _) = self.read_header(port, b);
         self.exec(port, 4);
@@ -588,7 +626,7 @@ impl BoundaryHeap {
 
     /// Bulk reset: clears every bin and rewinds the wilderness to the first
     /// arena (Zend's per-request heap teardown).
-    pub fn reset(&mut self, port: &mut dyn MemoryPort) {
+    pub fn reset<P: MemoryPort + ?Sized>(&mut self, port: &mut P) {
         let l = self.layout(port);
         for bin in 0..N_BINS as u64 {
             port.store_u64(l.bins + bin * 8, 0);
@@ -600,6 +638,7 @@ impl BoundaryHeap {
         for c in &mut self.carved {
             *c = 0;
         }
+        self.carved_total = 0;
         let arena = self.arenas[0];
         port.store_u64(l.cursor, arena.raw());
         port.store_u64(l.limit, (arena + self.arena_bytes).raw());
@@ -687,5 +726,45 @@ mod tests {
         h.reset(&mut port);
         assert_eq!(h.free_bytes(), 0);
         assert_eq!(h.snapshot().live_objects(), 0);
+    }
+
+    #[test]
+    fn touched_bytes_track_carving_across_arenas_and_resets() {
+        let mut port = PlainPort::new();
+        let mut h = BoundaryHeap::new(4096, 4, false);
+        // Each 1000-byte request carves a 1016-byte block: four fit in a
+        // 4 KiB arena, the fifth seals the 32-byte rest as a free block
+        // and opens the second arena.
+        for _ in 0..4 {
+            h.malloc(&mut port, 1000).unwrap();
+        }
+        assert_eq!(h.snapshot().touched_bytes, 4 * 1016);
+        h.malloc(&mut port, 1000).unwrap();
+        let s = h.snapshot();
+        assert_eq!((s.segments, s.free_list_len), (2, 1));
+        assert_eq!(s.touched_bytes, 4096 + 1016);
+        // A reset rewinds the carved bounds but not the high-water mark.
+        h.reset(&mut port);
+        h.malloc(&mut port, 1000).unwrap();
+        assert_eq!(h.snapshot().touched_bytes, 4096 + 1016);
+        for _ in 0..5 {
+            h.malloc(&mut port, 1000).unwrap();
+        }
+        assert_eq!(h.snapshot().touched_bytes, 4096 + 2 * 1016);
+    }
+
+    #[test]
+    fn exec_table_matches_the_float_formula() {
+        for scale in [0.7, 1.0] {
+            let h = BoundaryHeap::with_exec_scale(1 << 20, 4, false, scale);
+            // Every charge the engine makes is below EXEC_TABLE; the
+            // values above it exercise the fallback.
+            for n in 0..2 * EXEC_TABLE as u64 {
+                let mut port = PlainPort::new();
+                h.exec(&mut port, n);
+                let want = (n as f64 * scale).round() as u64;
+                assert_eq!(port.instructions(), want, "n={n} scale={scale}");
+            }
+        }
     }
 }

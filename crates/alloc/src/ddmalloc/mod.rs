@@ -32,8 +32,8 @@ mod size_class;
 pub use size_class::{ClassMapping, SizeClasses};
 
 use crate::api::{
-    enter_mm, exit_mm, AllocError, AllocTraits, Allocator, BandwidthClass, CostClass, Footprint,
-    OpStats,
+    enter_mm, exit_mm, AllocError, AllocInfo, AllocTraits, Allocator, BandwidthClass, CostClass,
+    Footprint, OpStats,
 };
 use webmm_sim::{Addr, CodeRegionId, CodeSpec, MemoryPort, PageSize};
 
@@ -190,7 +190,7 @@ impl DdMalloc {
         &self.classes
     }
 
-    fn layout(&mut self, port: &mut dyn MemoryPort) -> Layout {
+    fn layout<P: MemoryPort + ?Sized>(&mut self, port: &mut P) -> Layout {
         if let Some(l) = self.layout {
             return l;
         }
@@ -259,9 +259,9 @@ impl DdMalloc {
     ///
     /// The scan reads the class map through the port — 8 segments per
     /// 64-bit load — so heavily fragmented heaps pay a real, visible cost.
-    fn acquire_segments(
+    fn acquire_segments<P: MemoryPort + ?Sized>(
         &mut self,
-        port: &mut dyn MemoryPort,
+        port: &mut P,
         l: &Layout,
         need: u64,
     ) -> Result<u64, AllocError> {
@@ -319,9 +319,9 @@ impl DdMalloc {
         })
     }
 
-    fn malloc_small(
+    fn malloc_small<P: MemoryPort + ?Sized>(
         &mut self,
-        port: &mut dyn MemoryPort,
+        port: &mut P,
         l: &Layout,
         class: usize,
     ) -> Result<Addr, AllocError> {
@@ -395,9 +395,9 @@ impl DdMalloc {
         Ok(seg_addr)
     }
 
-    fn malloc_large(
+    fn malloc_large<P: MemoryPort + ?Sized>(
         &mut self,
-        port: &mut dyn MemoryPort,
+        port: &mut P,
         l: &Layout,
         size: u64,
     ) -> Result<Addr, AllocError> {
@@ -414,7 +414,7 @@ impl DdMalloc {
 
     /// Usable size of the live object at `addr` (class size, or span bytes
     /// for large objects).
-    fn usable_size(&mut self, port: &mut dyn MemoryPort, l: &Layout, addr: Addr) -> u64 {
+    fn usable_size<P: MemoryPort + ?Sized>(&mut self, port: &mut P, l: &Layout, addr: Addr) -> u64 {
         let seg = self.seg_index(l, addr);
         let tag = port.load_u8(l.class_map + seg);
         port.exec(4);
@@ -503,7 +503,7 @@ impl webmm_obs::HeapTelemetry for DdMalloc {
     }
 }
 
-impl Allocator for DdMalloc {
+impl AllocInfo for DdMalloc {
     fn name(&self) -> &'static str {
         "our DDmalloc"
     }
@@ -523,8 +523,24 @@ impl Allocator for DdMalloc {
         CodeSpec::new(8 * 1024, 2 * 1024)
     }
 
+    fn footprint(&self) -> Footprint {
+        let n_classes = self.classes.count() as u64;
+        let n_segs = u64::from(self.config.max_segments);
+        Footprint {
+            heap_bytes: self.hw_mirror * self.config.segment_bytes,
+            metadata_bytes: n_classes * 16 + n_segs + n_segs * 4 + 16,
+            peak_tx_alloc_bytes: self.peak_tx_alloc.max(self.tx_alloc_bytes),
+        }
+    }
+
+    fn stats(&self) -> OpStats {
+        self.stats
+    }
+}
+
+impl<P: MemoryPort + ?Sized> Allocator<P> for DdMalloc {
     #[inline]
-    fn malloc(&mut self, port: &mut dyn MemoryPort, size: u64) -> Result<Addr, AllocError> {
+    fn malloc(&mut self, port: &mut P, size: u64) -> Result<Addr, AllocError> {
         if size == 0 {
             return Err(AllocError::InvalidRequest { requested: 0 });
         }
@@ -558,7 +574,7 @@ impl Allocator for DdMalloc {
     }
 
     #[inline]
-    fn free(&mut self, port: &mut dyn MemoryPort, addr: Addr) {
+    fn free(&mut self, port: &mut P, addr: Addr) {
         let spec = self.code_spec();
         enter_mm(port, &mut self.code_id, spec);
         let l = self.layout(port);
@@ -603,7 +619,7 @@ impl Allocator for DdMalloc {
 
     fn realloc(
         &mut self,
-        port: &mut dyn MemoryPort,
+        port: &mut P,
         addr: Addr,
         _old_size: u64,
         new_size: u64,
@@ -637,7 +653,7 @@ impl Allocator for DdMalloc {
         Ok(new)
     }
 
-    fn free_all(&mut self, port: &mut dyn MemoryPort) {
+    fn free_all(&mut self, port: &mut P) {
         // Wall-clock timing feeds telemetry only; it never enters the
         // simulated instruction counts.
         let t0 = std::time::Instant::now();
@@ -687,20 +703,6 @@ impl Allocator for DdMalloc {
         self.segs_used = self.hint_count;
         self.free_all_ns += t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         exit_mm(port);
-    }
-
-    fn footprint(&self) -> Footprint {
-        let n_classes = self.classes.count() as u64;
-        let n_segs = u64::from(self.config.max_segments);
-        Footprint {
-            heap_bytes: self.hw_mirror * self.config.segment_bytes,
-            metadata_bytes: n_classes * 16 + n_segs + n_segs * 4 + 16,
-            peak_tx_alloc_bytes: self.peak_tx_alloc.max(self.tx_alloc_bytes),
-        }
-    }
-
-    fn stats(&self) -> OpStats {
-        self.stats
     }
 }
 

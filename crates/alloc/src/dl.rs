@@ -14,8 +14,8 @@
 //! the Ruby runtime cleans this heap is by restarting the process.
 
 use crate::api::{
-    enter_mm, exit_mm, round_up, AllocError, AllocTraits, Allocator, BandwidthClass, CostClass,
-    Footprint, OpStats,
+    enter_mm, exit_mm, round_up, AllocError, AllocInfo, AllocTraits, Allocator, BandwidthClass,
+    CostClass, Footprint, OpStats,
 };
 use crate::boundary::{BoundaryHeap, HEADER, MIN_BLOCK};
 use webmm_sim::{Addr, CodeRegionId, CodeSpec, MemoryPort};
@@ -43,7 +43,7 @@ impl Default for DlConfig {
 /// # Examples
 ///
 /// ```
-/// use webmm_alloc::{Allocator, DlAlloc, DlConfig};
+/// use webmm_alloc::{AllocInfo, Allocator, DlAlloc, DlConfig};
 /// use webmm_sim::PlainPort;
 ///
 /// let mut port = PlainPort::new();
@@ -81,7 +81,7 @@ impl webmm_obs::HeapTelemetry for DlAlloc {
     }
 }
 
-impl Allocator for DlAlloc {
+impl AllocInfo for DlAlloc {
     fn name(&self) -> &'static str {
         "glibc"
     }
@@ -101,7 +101,21 @@ impl Allocator for DlAlloc {
         CodeSpec::new(24 * 1024, 5 * 1024)
     }
 
-    fn malloc(&mut self, port: &mut dyn MemoryPort, size: u64) -> Result<Addr, AllocError> {
+    fn footprint(&self) -> Footprint {
+        Footprint {
+            heap_bytes: self.heap.heap_bytes(),
+            metadata_bytes: self.heap.metadata_bytes(),
+            peak_tx_alloc_bytes: self.heap.peak_tx_alloc(),
+        }
+    }
+
+    fn stats(&self) -> OpStats {
+        self.stats
+    }
+}
+
+impl<P: MemoryPort + ?Sized> Allocator<P> for DlAlloc {
+    fn malloc(&mut self, port: &mut P, size: u64) -> Result<Addr, AllocError> {
         if size == 0 {
             return Err(AllocError::InvalidRequest { requested: 0 });
         }
@@ -116,7 +130,7 @@ impl Allocator for DlAlloc {
         r
     }
 
-    fn free(&mut self, port: &mut dyn MemoryPort, addr: Addr) {
+    fn free(&mut self, port: &mut P, addr: Addr) {
         let spec = self.code_spec();
         enter_mm(port, &mut self.code_id, spec);
         self.heap.free(port, addr);
@@ -126,7 +140,7 @@ impl Allocator for DlAlloc {
 
     fn realloc(
         &mut self,
-        port: &mut dyn MemoryPort,
+        port: &mut P,
         addr: Addr,
         _old_size: u64,
         new_size: u64,
@@ -160,20 +174,8 @@ impl Allocator for DlAlloc {
     /// Always panics: glibc malloc has no bulk-free interface. The runtime
     /// checks [`AllocTraits::bulk_free`] and restarts the process instead
     /// (§4.4).
-    fn free_all(&mut self, _port: &mut dyn MemoryPort) {
+    fn free_all(&mut self, _port: &mut P) {
         panic!("glibc malloc does not support freeAll; restart the process instead");
-    }
-
-    fn footprint(&self) -> Footprint {
-        Footprint {
-            heap_bytes: self.heap.heap_bytes(),
-            metadata_bytes: self.heap.metadata_bytes(),
-            peak_tx_alloc_bytes: self.heap.peak_tx_alloc(),
-        }
-    }
-
-    fn stats(&self) -> OpStats {
-        self.stats
     }
 }
 

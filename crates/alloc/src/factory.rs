@@ -1,6 +1,6 @@
 //! Allocator registry: build any of the paper's allocators by name.
 
-use crate::api::Allocator;
+use crate::api::{Allocator, DynAllocator};
 use crate::ddmalloc::{ClassMapping, DdConfig, DdMalloc};
 use crate::dl::{DlAlloc, DlConfig};
 use crate::hoard::{HoardAlloc, HoardConfig};
@@ -9,6 +9,28 @@ use crate::php_default::{PhpConfig, PhpDefaultAlloc};
 use crate::reaps::{ReapAlloc, ReapConfig};
 use crate::region::{RegionAlloc, RegionConfig};
 use crate::tcmalloc::{TcAlloc, TcConfig};
+use webmm_sim::MemoryPort;
+
+/// Boxes a default-configured allocator of `$kind` for process `$pid`;
+/// the box's type comes from the caller's return type, so both
+/// constructors share this one match.
+macro_rules! build_kind {
+    ($kind:expr, $pid:expr) => {
+        match $kind {
+            AllocatorKind::DdMalloc => Box::new(DdMalloc::new(DdConfig {
+                pid: $pid,
+                ..DdConfig::default()
+            })),
+            AllocatorKind::Region => Box::new(RegionAlloc::new(RegionConfig::default())),
+            AllocatorKind::Obstack => Box::new(ObstackAlloc::new(ObstackConfig::default())),
+            AllocatorKind::PhpDefault => Box::new(PhpDefaultAlloc::new(PhpConfig::default())),
+            AllocatorKind::Dl => Box::new(DlAlloc::new(DlConfig::default())),
+            AllocatorKind::Hoard => Box::new(HoardAlloc::new(HoardConfig::default())),
+            AllocatorKind::TcMalloc => Box::new(TcAlloc::new(TcConfig::default())),
+            AllocatorKind::Reaps => Box::new(ReapAlloc::new(ReapConfig::default())),
+        }
+    };
+}
 
 /// Every allocator studied in the paper, as a buildable enum.
 ///
@@ -75,36 +97,30 @@ impl AllocatorKind {
 
     /// Builds the allocator with default configuration, tagged with the
     /// simulated process id `pid` (used by DDmalloc's metadata-placement
-    /// optimization; ignored by the others).
-    pub fn build(self, pid: u32) -> Box<dyn Allocator> {
-        self.build_send(pid)
+    /// optimization; ignored by the others), driven through a
+    /// `dyn MemoryPort` of any lifetime. This is the constructor the
+    /// simulator uses: its [`ContextPort`](webmm_sim::ContextPort) borrows
+    /// the machine for one execution slice only.
+    pub fn build(self, pid: u32) -> Box<DynAllocator> {
+        build_kind!(self, pid)
     }
 
-    /// Like [`AllocatorKind::build`], but certifies the heap can be handed
-    /// to an OS thread: the returned box is `Send`, which holds because no
-    /// allocator in this crate keeps `Rc`/`RefCell`/raw-pointer state.
+    /// Builds the allocator for the port type `P`, certified to be
+    /// handed to an OS thread: the returned box is `Send`, which holds
+    /// because no allocator in this crate keeps `Rc`/`RefCell`/raw-pointer
+    /// state.
     ///
     /// This is the constructor the native serving harness
     /// (`webmm-server`) uses — one worker thread, one heap, per the
-    /// invariant documented on [`AllocatorKind`].
-    pub fn build_send(self, pid: u32) -> Box<dyn Allocator + Send> {
-        match self {
-            AllocatorKind::DdMalloc => Box::new(DdMalloc::new(DdConfig {
-                pid,
-                ..DdConfig::default()
-            })),
-            AllocatorKind::Region => Box::new(RegionAlloc::new(RegionConfig::default())),
-            AllocatorKind::Obstack => Box::new(ObstackAlloc::new(ObstackConfig::default())),
-            AllocatorKind::PhpDefault => Box::new(PhpDefaultAlloc::new(PhpConfig::default())),
-            AllocatorKind::Dl => Box::new(DlAlloc::new(DlConfig::default())),
-            AllocatorKind::Hoard => Box::new(HoardAlloc::new(HoardConfig::default())),
-            AllocatorKind::TcMalloc => Box::new(TcAlloc::new(TcConfig::default())),
-            AllocatorKind::Reaps => Box::new(ReapAlloc::new(ReapConfig::default())),
-        }
+    /// invariant documented on [`AllocatorKind`] — with `P` the concrete
+    /// [`PlainPort`](webmm_sim::PlainPort), so the allocator's simulated
+    /// loads and stores are direct calls rather than virtual ones.
+    pub fn build_send<P: MemoryPort + ?Sized>(self, pid: u32) -> Box<dyn Allocator<P> + Send> {
+        build_kind!(self, pid)
     }
 
     /// Builds a DDmalloc with an explicit configuration (ablation studies).
-    pub fn build_dd(config: DdConfig) -> Box<dyn Allocator> {
+    pub fn build_dd(config: DdConfig) -> Box<DynAllocator> {
         Box::new(DdMalloc::new(config))
     }
 
@@ -116,7 +132,7 @@ impl AllocatorKind {
         large_pages: bool,
         metadata_offset: bool,
         pid: u32,
-    ) -> Box<dyn Allocator> {
+    ) -> Box<DynAllocator> {
         Box::new(DdMalloc::new(DdConfig {
             segment_bytes,
             // Keep the heap capacity constant at 512 MB across segment sizes.

@@ -18,7 +18,14 @@
 //! | [`TcAlloc`] | TCmalloc baseline with *delayed* defragmentation | — |
 //! | [`ReapAlloc`] | Reaps (§6): region bulk-free + Lea-style per-object free | — |
 //!
-//! All implement the [`Allocator`] trait; [`AllocatorKind`] is the factory.
+//! All implement [`AllocInfo`] (name, Table 1 traits, footprint, statistics)
+//! and, once per family and generically over the memory port, the
+//! [`Allocator`] trait (`malloc`, `free`, `realloc`, `free_all`).
+//! [`AllocatorKind`] is the factory: [`AllocatorKind::build`] returns a
+//! [`DynAllocator`] driven through `dyn MemoryPort` (the simulator's
+//! choice), [`AllocatorKind::build_send`] a heap for one concrete port
+//! type (the serving workers' choice, so simulated loads and stores are
+//! direct calls).
 //!
 //! ## Example
 //!
@@ -49,7 +56,10 @@ mod reaps;
 mod region;
 mod tcmalloc;
 
-pub use api::{AllocError, AllocTraits, Allocator, BandwidthClass, CostClass, Footprint, OpStats};
+pub use api::{
+    AllocError, AllocInfo, AllocTraits, Allocator, BandwidthClass, CostClass, DynAllocator,
+    Footprint, OpStats,
+};
 pub use ddmalloc::{ClassMapping, DdConfig, DdMalloc, SizeClasses};
 pub use dl::{DlAlloc, DlConfig};
 pub use factory::AllocatorKind;

@@ -8,8 +8,8 @@
 //! chunk-refill path orders of magnitude more often than a 256 MB region.
 
 use crate::api::{
-    enter_mm, exit_mm, round_up, AllocError, AllocTraits, Allocator, BandwidthClass, CostClass,
-    Footprint, OpStats,
+    enter_mm, exit_mm, round_up, AllocError, AllocInfo, AllocTraits, Allocator, BandwidthClass,
+    CostClass, Footprint, OpStats,
 };
 use webmm_sim::{Addr, CodeRegionId, CodeSpec, MemoryPort, PageSize};
 
@@ -74,7 +74,7 @@ impl ObstackAlloc {
         }
     }
 
-    fn init(&mut self, port: &mut dyn MemoryPort) -> Addr {
+    fn init<P: MemoryPort + ?Sized>(&mut self, port: &mut P) -> Addr {
         if let Some(c) = self.cursor_addr {
             return c;
         }
@@ -86,7 +86,7 @@ impl ObstackAlloc {
         cursor_addr
     }
 
-    fn new_chunk(&mut self, port: &mut dyn MemoryPort, prev: Addr) -> Addr {
+    fn new_chunk<P: MemoryPort + ?Sized>(&mut self, port: &mut P, prev: Addr) -> Addr {
         let chunk = port.os_alloc(self.config.chunk_bytes, 4096, PageSize::Base);
         // Chunk header: previous-chunk link and limit, as glibc obstacks do.
         port.store_u64(chunk, prev.raw());
@@ -119,7 +119,7 @@ impl webmm_obs::HeapTelemetry for ObstackAlloc {
     }
 }
 
-impl Allocator for ObstackAlloc {
+impl AllocInfo for ObstackAlloc {
     fn name(&self) -> &'static str {
         "GNU obstack"
     }
@@ -138,7 +138,21 @@ impl Allocator for ObstackAlloc {
         CodeSpec::new(3 * 1024, 1536)
     }
 
-    fn malloc(&mut self, port: &mut dyn MemoryPort, size: u64) -> Result<Addr, AllocError> {
+    fn footprint(&self) -> Footprint {
+        Footprint {
+            heap_bytes: self.chunks.len() as u64 * self.config.chunk_bytes,
+            metadata_bytes: 64 + self.chunks.len() as u64 * CHUNK_HEADER,
+            peak_tx_alloc_bytes: self.peak_tx_alloc,
+        }
+    }
+
+    fn stats(&self) -> OpStats {
+        self.stats
+    }
+}
+
+impl<P: MemoryPort + ?Sized> Allocator<P> for ObstackAlloc {
+    fn malloc(&mut self, port: &mut P, size: u64) -> Result<Addr, AllocError> {
         if size == 0 {
             return Err(AllocError::InvalidRequest { requested: 0 });
         }
@@ -187,13 +201,13 @@ impl Allocator for ObstackAlloc {
         Ok(obj)
     }
 
-    fn free(&mut self, _port: &mut dyn MemoryPort, _addr: Addr) {
+    fn free(&mut self, _port: &mut P, _addr: Addr) {
         self.stats.frees += 1; // no-op: obstacks free by rewinding only
     }
 
     fn realloc(
         &mut self,
-        port: &mut dyn MemoryPort,
+        port: &mut P,
         addr: Addr,
         old_size: u64,
         new_size: u64,
@@ -216,7 +230,7 @@ impl Allocator for ObstackAlloc {
         Ok(new)
     }
 
-    fn free_all(&mut self, port: &mut dyn MemoryPort) {
+    fn free_all(&mut self, port: &mut P) {
         let t0 = std::time::Instant::now();
         let spec = self.code_spec();
         enter_mm(port, &mut self.code_id, spec);
@@ -229,18 +243,6 @@ impl Allocator for ObstackAlloc {
         self.tx_objs = 0;
         self.free_all_ns += t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         exit_mm(port);
-    }
-
-    fn footprint(&self) -> Footprint {
-        Footprint {
-            heap_bytes: self.chunks.len() as u64 * self.config.chunk_bytes,
-            metadata_bytes: 64 + self.chunks.len() as u64 * CHUNK_HEADER,
-            peak_tx_alloc_bytes: self.peak_tx_alloc,
-        }
-    }
-
-    fn stats(&self) -> OpStats {
-        self.stats
     }
 }
 

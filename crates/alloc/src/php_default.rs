@@ -12,8 +12,8 @@
 //! heap segments; per-object boundary headers, split and coalesce included.
 
 use crate::api::{
-    enter_mm, exit_mm, round_up, AllocError, AllocTraits, Allocator, BandwidthClass, CostClass,
-    Footprint, OpStats,
+    enter_mm, exit_mm, round_up, AllocError, AllocInfo, AllocTraits, Allocator, BandwidthClass,
+    CostClass, Footprint, OpStats,
 };
 use crate::boundary::{BoundaryHeap, HEADER, MIN_BLOCK};
 use webmm_sim::{Addr, CodeRegionId, CodeSpec, MemoryPort};
@@ -87,7 +87,7 @@ impl webmm_obs::HeapTelemetry for PhpDefaultAlloc {
     }
 }
 
-impl Allocator for PhpDefaultAlloc {
+impl AllocInfo for PhpDefaultAlloc {
     fn name(&self) -> &'static str {
         "default allocator of the PHP runtime"
     }
@@ -107,7 +107,21 @@ impl Allocator for PhpDefaultAlloc {
         CodeSpec::new(28 * 1024, 5 * 1024)
     }
 
-    fn malloc(&mut self, port: &mut dyn MemoryPort, size: u64) -> Result<Addr, AllocError> {
+    fn footprint(&self) -> Footprint {
+        Footprint {
+            heap_bytes: self.heap.heap_bytes(),
+            metadata_bytes: self.heap.metadata_bytes(),
+            peak_tx_alloc_bytes: self.heap.peak_tx_alloc(),
+        }
+    }
+
+    fn stats(&self) -> OpStats {
+        self.stats
+    }
+}
+
+impl<P: MemoryPort + ?Sized> Allocator<P> for PhpDefaultAlloc {
+    fn malloc(&mut self, port: &mut P, size: u64) -> Result<Addr, AllocError> {
         if size == 0 {
             return Err(AllocError::InvalidRequest { requested: 0 });
         }
@@ -122,7 +136,7 @@ impl Allocator for PhpDefaultAlloc {
         r
     }
 
-    fn free(&mut self, port: &mut dyn MemoryPort, addr: Addr) {
+    fn free(&mut self, port: &mut P, addr: Addr) {
         let spec = self.code_spec();
         enter_mm(port, &mut self.code_id, spec);
         self.heap.free(port, addr);
@@ -132,7 +146,7 @@ impl Allocator for PhpDefaultAlloc {
 
     fn realloc(
         &mut self,
-        port: &mut dyn MemoryPort,
+        port: &mut P,
         addr: Addr,
         _old_size: u64,
         new_size: u64,
@@ -161,7 +175,7 @@ impl Allocator for PhpDefaultAlloc {
         Ok(new)
     }
 
-    fn free_all(&mut self, port: &mut dyn MemoryPort) {
+    fn free_all(&mut self, port: &mut P) {
         let t0 = std::time::Instant::now();
         let spec = self.code_spec();
         enter_mm(port, &mut self.code_id, spec);
@@ -169,18 +183,6 @@ impl Allocator for PhpDefaultAlloc {
         self.stats.free_alls += 1;
         self.free_all_ns += t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         exit_mm(port);
-    }
-
-    fn footprint(&self) -> Footprint {
-        Footprint {
-            heap_bytes: self.heap.heap_bytes(),
-            metadata_bytes: self.heap.metadata_bytes(),
-            peak_tx_alloc_bytes: self.heap.peak_tx_alloc(),
-        }
-    }
-
-    fn stats(&self) -> OpStats {
-        self.stats
     }
 }
 

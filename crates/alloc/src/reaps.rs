@@ -16,8 +16,8 @@
 //! defragmentation* is (see the `reaps_vs_ddmalloc` ablation).
 
 use crate::api::{
-    enter_mm, exit_mm, round_up, AllocError, AllocTraits, Allocator, BandwidthClass, CostClass,
-    Footprint, OpStats,
+    enter_mm, exit_mm, round_up, AllocError, AllocInfo, AllocTraits, Allocator, BandwidthClass,
+    CostClass, Footprint, OpStats,
 };
 use crate::boundary::{BoundaryHeap, HEADER, MIN_BLOCK};
 use webmm_sim::{Addr, CodeRegionId, CodeSpec, MemoryPort};
@@ -87,7 +87,7 @@ impl webmm_obs::HeapTelemetry for ReapAlloc {
     }
 }
 
-impl Allocator for ReapAlloc {
+impl AllocInfo for ReapAlloc {
     fn name(&self) -> &'static str {
         "Reaps"
     }
@@ -106,7 +106,21 @@ impl Allocator for ReapAlloc {
         CodeSpec::new(26 * 1024, 5 * 1024)
     }
 
-    fn malloc(&mut self, port: &mut dyn MemoryPort, size: u64) -> Result<Addr, AllocError> {
+    fn footprint(&self) -> Footprint {
+        Footprint {
+            heap_bytes: self.heap.heap_bytes(),
+            metadata_bytes: self.heap.metadata_bytes(),
+            peak_tx_alloc_bytes: self.heap.peak_tx_alloc(),
+        }
+    }
+
+    fn stats(&self) -> OpStats {
+        self.stats
+    }
+}
+
+impl<P: MemoryPort + ?Sized> Allocator<P> for ReapAlloc {
+    fn malloc(&mut self, port: &mut P, size: u64) -> Result<Addr, AllocError> {
         if size == 0 {
             return Err(AllocError::InvalidRequest { requested: 0 });
         }
@@ -121,7 +135,7 @@ impl Allocator for ReapAlloc {
         r
     }
 
-    fn free(&mut self, port: &mut dyn MemoryPort, addr: Addr) {
+    fn free(&mut self, port: &mut P, addr: Addr) {
         let spec = self.code_spec();
         enter_mm(port, &mut self.code_id, spec);
         self.heap.free(port, addr);
@@ -131,7 +145,7 @@ impl Allocator for ReapAlloc {
 
     fn realloc(
         &mut self,
-        port: &mut dyn MemoryPort,
+        port: &mut P,
         addr: Addr,
         _old_size: u64,
         new_size: u64,
@@ -160,7 +174,7 @@ impl Allocator for ReapAlloc {
         Ok(new)
     }
 
-    fn free_all(&mut self, port: &mut dyn MemoryPort) {
+    fn free_all(&mut self, port: &mut P) {
         let t0 = std::time::Instant::now();
         let spec = self.code_spec();
         enter_mm(port, &mut self.code_id, spec);
@@ -168,18 +182,6 @@ impl Allocator for ReapAlloc {
         self.stats.free_alls += 1;
         self.free_all_ns += t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         exit_mm(port);
-    }
-
-    fn footprint(&self) -> Footprint {
-        Footprint {
-            heap_bytes: self.heap.heap_bytes(),
-            metadata_bytes: self.heap.metadata_bytes(),
-            peak_tx_alloc_bytes: self.heap.peak_tx_alloc(),
-        }
-    }
-
-    fn stats(&self) -> OpStats {
-        self.stats
     }
 }
 

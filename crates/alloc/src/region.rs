@@ -13,8 +13,8 @@
 //! a transaction it streams through fresh cache lines forever.
 
 use crate::api::{
-    enter_mm, exit_mm, round_up, AllocError, AllocTraits, Allocator, BandwidthClass, CostClass,
-    Footprint, OpStats,
+    enter_mm, exit_mm, round_up, AllocError, AllocInfo, AllocTraits, Allocator, BandwidthClass,
+    CostClass, Footprint, OpStats,
 };
 use webmm_sim::{Addr, CodeRegionId, CodeSpec, MemoryPort, PageSize};
 
@@ -109,7 +109,7 @@ impl RegionAlloc {
         }
     }
 
-    fn init(&mut self, port: &mut dyn MemoryPort) -> Addr {
+    fn init<P: MemoryPort + ?Sized>(&mut self, port: &mut P) -> Addr {
         if let Some(c) = self.cursor_addr {
             return c;
         }
@@ -149,7 +149,7 @@ impl webmm_obs::HeapTelemetry for RegionAlloc {
     }
 }
 
-impl Allocator for RegionAlloc {
+impl AllocInfo for RegionAlloc {
     fn name(&self) -> &'static str {
         "region-based allocator"
     }
@@ -169,7 +169,23 @@ impl Allocator for RegionAlloc {
         CodeSpec::new(2 * 1024, 1024)
     }
 
-    fn malloc(&mut self, port: &mut dyn MemoryPort, size: u64) -> Result<Addr, AllocError> {
+    fn footprint(&self) -> Footprint {
+        Footprint {
+            heap_bytes: self.chunks.len() as u64 * self.config.chunk_bytes,
+            metadata_bytes: 64,
+            // Figure 9 counts "the total amount of memory allocated during
+            // a transaction" for the region allocator.
+            peak_tx_alloc_bytes: self.peak_tx_alloc,
+        }
+    }
+
+    fn stats(&self) -> OpStats {
+        self.stats
+    }
+}
+
+impl<P: MemoryPort + ?Sized> Allocator<P> for RegionAlloc {
+    fn malloc(&mut self, port: &mut P, size: u64) -> Result<Addr, AllocError> {
         if size == 0 {
             return Err(AllocError::InvalidRequest { requested: 0 });
         }
@@ -221,7 +237,7 @@ impl Allocator for RegionAlloc {
         Ok(obj)
     }
 
-    fn free(&mut self, _port: &mut dyn MemoryPort, _addr: Addr) {
+    fn free(&mut self, _port: &mut P, _addr: Addr) {
         // No per-object free. The porting recipe removes the calls; if one
         // arrives anyway it is a semantic no-op, like apr_pool free.
         self.stats.frees += 1;
@@ -229,7 +245,7 @@ impl Allocator for RegionAlloc {
 
     fn realloc(
         &mut self,
-        port: &mut dyn MemoryPort,
+        port: &mut P,
         addr: Addr,
         old_size: u64,
         new_size: u64,
@@ -253,7 +269,7 @@ impl Allocator for RegionAlloc {
         Ok(new)
     }
 
-    fn free_all(&mut self, port: &mut dyn MemoryPort) {
+    fn free_all(&mut self, port: &mut P) {
         let t0 = std::time::Instant::now();
         let spec = self.code_spec();
         enter_mm(port, &mut self.code_id, spec);
@@ -266,20 +282,6 @@ impl Allocator for RegionAlloc {
         self.tx_objs = 0;
         self.free_all_ns += t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         exit_mm(port);
-    }
-
-    fn footprint(&self) -> Footprint {
-        Footprint {
-            heap_bytes: self.chunks.len() as u64 * self.config.chunk_bytes,
-            metadata_bytes: 64,
-            // Figure 9 counts "the total amount of memory allocated during
-            // a transaction" for the region allocator.
-            peak_tx_alloc_bytes: self.peak_tx_alloc,
-        }
-    }
-
-    fn stats(&self) -> OpStats {
-        self.stats
     }
 }
 

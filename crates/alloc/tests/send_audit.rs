@@ -37,7 +37,7 @@ fn worker_side_state_is_send() {
     // The full per-worker bundle the server moves across a spawn: the
     // functional port, the boxed heap, and the kind tag itself.
     assert_send::<PlainPort>();
-    assert_send::<Box<dyn webmm_alloc::Allocator + Send>>();
+    assert_send::<Box<dyn webmm_alloc::Allocator<PlainPort> + Send>>();
     assert_send::<AllocatorKind>();
 }
 

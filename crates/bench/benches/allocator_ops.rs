@@ -12,7 +12,7 @@ fn bench_malloc_free_churn(c: &mut Criterion) {
     let mut group = c.benchmark_group("malloc_free_churn_64B");
     for kind in AllocatorKind::ALL {
         group.bench_with_input(BenchmarkId::from_parameter(kind.id()), &kind, |b, &kind| {
-            let mut alloc = kind.build(0);
+            let mut alloc = kind.build_send::<PlainPort>(0);
             let mut port = PlainPort::new();
             let per_object_free = alloc.alloc_traits().per_object_free;
             let bulk = alloc.alloc_traits().bulk_free;
@@ -50,7 +50,7 @@ fn bench_transaction(c: &mut Criterion) {
         AllocatorKind::DdMalloc,
     ] {
         group.bench_with_input(BenchmarkId::from_parameter(kind.id()), &kind, |b, &kind| {
-            let mut alloc = kind.build(0);
+            let mut alloc = kind.build_send::<PlainPort>(0);
             let mut port = PlainPort::new();
             let per_object_free = alloc.alloc_traits().per_object_free;
             b.iter(|| {
@@ -83,7 +83,7 @@ fn bench_free_all(c: &mut Criterion) {
         AllocatorKind::DdMalloc,
     ] {
         group.bench_with_input(BenchmarkId::from_parameter(kind.id()), &kind, |b, &kind| {
-            let mut alloc = kind.build(0);
+            let mut alloc = kind.build_send::<PlainPort>(0);
             let mut port = PlainPort::new();
             b.iter(|| {
                 for i in 0..1000u64 {

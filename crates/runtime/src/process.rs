@@ -9,7 +9,7 @@
 //! through the shared memory hierarchy.
 
 use std::collections::HashMap;
-use webmm_alloc::{Allocator, AllocatorKind, DdConfig, DdMalloc, Footprint};
+use webmm_alloc::{AllocatorKind, DdConfig, DdMalloc, DynAllocator, Footprint};
 use webmm_sim::{
     Addr, Category, CodeRegionId, CodeSpec, ContextPort, MemHierarchy, MemoryPort, ProcessMem,
 };
@@ -67,7 +67,7 @@ impl AllocatorSpec {
     }
 
     /// Builds an allocator instance for process `pid`.
-    pub fn build(&self, pid: u32) -> Box<dyn Allocator> {
+    pub fn build(&self, pid: u32) -> Box<DynAllocator> {
         match (self.kind, &self.dd_override) {
             (AllocatorKind::DdMalloc, Some(cfg)) => {
                 Box::new(DdMalloc::new(DdConfig { pid, ..*cfg }))
@@ -80,7 +80,7 @@ impl AllocatorSpec {
 /// One simulated runtime process.
 pub struct Process {
     mem: ProcessMem,
-    alloc: Box<dyn Allocator>,
+    alloc: Box<DynAllocator>,
     alloc_spec: AllocatorSpec,
     stream: TxStream,
     objects: HashMap<u64, (Addr, u64)>,

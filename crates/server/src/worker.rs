@@ -24,7 +24,7 @@ use crate::telemetry::{ServerTelemetry, WorkerMetrics};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
-use webmm_alloc::{Allocator, AllocatorKind};
+use webmm_alloc::{AllocTraits, Allocator, AllocatorKind};
 use webmm_obs::{LatencyHistogram, TxSpan};
 use webmm_sim::{Addr, MemoryPort, PageSize, PlainPort};
 use webmm_workload::{ObjectTable, WorkOp};
@@ -63,7 +63,12 @@ pub struct WorkerReport {
 /// deliberate: only the `Copy + Send` kind tag crosses the spawn
 /// boundary, the heap itself is born on the thread that will use it.
 pub struct TxExecutor {
-    heap: Box<dyn Allocator + Send>,
+    /// The heap, instantiated for the concrete [`PlainPort`] so its
+    /// simulated loads, stores and `exec` charges are direct calls.
+    heap: Box<dyn Allocator<PlainPort> + Send>,
+    /// The heap's Table 1 entry, read once: `Free` and `EndTx` consult it
+    /// on every call.
+    traits: AllocTraits,
     port: PlainPort,
     /// Live objects: workload id → (address, current size). Ids are
     /// handed out by the load generator's monotonic counter, so the
@@ -83,8 +88,10 @@ impl TxExecutor {
     pub fn new(worker: u64, kind: AllocatorKind, static_bytes: u64) -> Self {
         let mut port = PlainPort::new();
         let static_base = port.os_alloc(static_bytes.max(4096), 4096, PageSize::Base);
+        let heap = kind.build_send::<PlainPort>(worker as u32);
         TxExecutor {
-            heap: kind.build_send(worker as u32),
+            traits: heap.alloc_traits(),
+            heap,
             port,
             objects: ObjectTable::with_capacity(1024),
             static_base,
@@ -136,7 +143,7 @@ impl TxExecutor {
                 }
                 WorkOp::Free { id } => match self.objects.remove(id) {
                     Some((addr, _)) => {
-                        if self.heap.alloc_traits().per_object_free {
+                        if self.traits.per_object_free {
                             self.heap.free(&mut self.port, addr);
                         }
                         // Without per-object free (region/obstack) the
@@ -182,7 +189,7 @@ impl TxExecutor {
     /// way the object table empties in O(1) of hashing: a generation bump
     /// for bulk free, a ring sweep (no rehash, no dealloc) otherwise.
     fn end_tx(&mut self) {
-        let traits = self.heap.alloc_traits();
+        let traits = self.traits;
         if traits.bulk_free {
             self.heap.free_all(&mut self.port);
             self.objects.clear();

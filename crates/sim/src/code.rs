@@ -96,6 +96,7 @@ impl CodeState {
     /// # Panics
     ///
     /// Panics if `id` was not returned by this registry.
+    #[inline]
     pub fn set_current(&mut self, id: CodeRegionId) {
         assert!(id.0 < self.regions.len(), "unknown code region");
         self.current = Some(id);

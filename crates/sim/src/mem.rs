@@ -170,6 +170,7 @@ impl SimMemory {
     /// # Panics
     ///
     /// Panics if the access crosses a 4 KB frame boundary.
+    #[inline]
     pub fn read_u64(&self, addr: Addr) -> u64 {
         assert!(
             addr.raw() % FRAME <= FRAME - 8,
@@ -187,6 +188,7 @@ impl SimMemory {
     ///
     /// Panics if the access crosses a 4 KB frame boundary or leaves the
     /// reservation window.
+    #[inline]
     pub fn write_u64(&mut self, addr: Addr, val: u64) {
         assert!(
             addr.raw() % FRAME <= FRAME - 8,
@@ -197,6 +199,7 @@ impl SimMemory {
     }
 
     /// Reads one byte.
+    #[inline]
     pub fn read_u8(&self, addr: Addr) -> u8 {
         self.frame(addr).map_or(0, |(f, off)| f[off])
     }
@@ -206,6 +209,7 @@ impl SimMemory {
     /// # Panics
     ///
     /// Panics if `addr` is outside the reservation window.
+    #[inline]
     pub fn write_u8(&mut self, addr: Addr, val: u8) {
         let (frame, off) = self.frame_mut(addr, 1);
         frame[off] = val;
@@ -216,6 +220,7 @@ impl SimMemory {
     /// # Panics
     ///
     /// Panics if the access crosses a 4 KB frame boundary.
+    #[inline]
     pub fn read_u32(&self, addr: Addr) -> u32 {
         assert!(
             addr.raw() % FRAME <= FRAME - 4,
@@ -233,6 +238,7 @@ impl SimMemory {
     ///
     /// Panics if the access crosses a 4 KB frame boundary or leaves the
     /// reservation window.
+    #[inline]
     pub fn write_u32(&mut self, addr: Addr, val: u32) {
         assert!(
             addr.raw() % FRAME <= FRAME - 4,
