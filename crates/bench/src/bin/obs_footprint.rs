@@ -1,5 +1,5 @@
 //! Touched-footprint time series over one transaction: the Figure 9
-//! space story, watched live through [`HeapTelemetry`].
+//! space story, watched live through [`HeapTelemetry`](webmm_obs::HeapTelemetry).
 //!
 //! Figure 9 reports end-of-run memory-consumption ratios; this bin shows
 //! *how they get there*. It replays a single transaction op-by-op against

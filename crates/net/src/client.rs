@@ -10,9 +10,9 @@
 //!   its next request only after the previous response arrived; offered
 //!   load self-limits to what the server admits.
 //! * **open loop** ([`LoadMode::Open`]) — request *k* is due at
-//!   `start + k/rate` regardless of completions, the web-facing arrival
-//!   model; pair the server with `Reject`/`ShedOldest` to study
-//!   overload behind a real socket.
+//!   `start + k/rate` regardless of completions (the in-process
+//!   [`OpenLoopSchedule`]), the web-facing arrival model; pair the server
+//!   with `Reject`/`ShedOldest` to study overload behind a real socket.
 //!
 //! The client is built to observe failure, not hang on it: every read
 //! carries the request timeout, a dead or misbehaving connection is
@@ -34,7 +34,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use webmm_obs::{LatencyHistogram, LatencySummary, NetCounters};
-use webmm_workload::{TxStream, WorkOp, WorkloadSpec};
+use webmm_server::{OpenLoopSchedule, TxFactory};
+use webmm_workload::WorkloadSpec;
 
 /// How arrivals are scheduled across the connection pool.
 #[derive(Clone, Copy, Debug)]
@@ -69,7 +70,8 @@ pub enum ClientWorkload {
     Stream {
         /// Workload shape (e.g. `webmm_workload::phpbb()`).
         spec: WorkloadSpec,
-        /// Size scale passed to [`TxStream::new`].
+        /// Size scale passed to
+        /// [`TxStream::new`](webmm_workload::TxStream::new).
         scale: u32,
         /// Stream seed.
         seed: u64,
@@ -216,10 +218,11 @@ impl Tallies {
 /// State shared by all connection threads.
 struct SharedLoad {
     next_seq: AtomicU64,
-    /// One stream for everyone (`ClientWorkload::Stream`): the union of
-    /// sent ops is a prefix of the deterministic stream.
-    stream: Option<Mutex<TxStream>>,
-    start: Instant,
+    /// One transaction factory for everyone (`ClientWorkload::Stream`):
+    /// the union of sent ops is a prefix of the deterministic stream.
+    factory: Option<Mutex<TxFactory>>,
+    /// Arrival pacing (`LoadMode::Open`); `None` in closed loop.
+    schedule: Option<OpenLoopSchedule>,
 }
 
 /// Drives `config.requests` requests at `addr` and reports what came
@@ -228,7 +231,8 @@ struct SharedLoad {
 ///
 /// # Panics
 ///
-/// Panics if `config.connections` is zero or an internal lock poisons.
+/// Panics if `config.connections` is zero, if an open-loop rate is not
+/// positive and finite, or if an internal lock poisons.
 #[must_use]
 pub fn run_client(
     addr: SocketAddr,
@@ -241,13 +245,16 @@ pub fn run_client(
     );
     let shared = SharedLoad {
         next_seq: AtomicU64::new(0),
-        stream: match workload {
+        factory: match workload {
             ClientWorkload::Stream { spec, scale, seed } => {
-                Some(Mutex::new(TxStream::new(spec.clone(), *scale, *seed)))
+                Some(Mutex::new(TxFactory::new(spec.clone(), *scale, *seed)))
             }
             ClientWorkload::Count { .. } => None,
         },
-        start: Instant::now(),
+        schedule: match config.mode {
+            LoadMode::Open { rate_tx_per_sec } => Some(OpenLoopSchedule::new(rate_tx_per_sec)),
+            LoadMode::Closed => None,
+        },
     };
     let mut tallies = Tallies::default();
     let mut hist = LatencyHistogram::new();
@@ -307,12 +314,8 @@ fn connection_thread(
             }
             cur
         };
-        if let LoadMode::Open { rate_tx_per_sec } = config.mode {
-            let due = shared.start + Duration::from_secs_f64(seq as f64 / rate_tx_per_sec);
-            let now = Instant::now();
-            if due > now {
-                std::thread::sleep(due - now);
-            }
+        if let Some(schedule) = &shared.schedule {
+            schedule.wait_for(seq);
         }
         // (Re)connect under bounded backoff. Never retry a *request* —
         // only the connection is retried, and only between requests.
@@ -377,23 +380,16 @@ fn make_body(workload: &ClientWorkload, shared: &SharedLoad) -> TxBody {
             ops: *ops,
             size: *size,
         },
-        ClientWorkload::Stream { .. } => {
-            let mut stream = shared
-                .stream
+        ClientWorkload::Stream { .. } => TxBody::Ops(
+            shared
+                .factory
                 .as_ref()
-                .expect("stream workload has a stream")
+                .expect("stream workload has a factory")
                 .lock()
-                .expect("stream lock");
-            let mut ops = Vec::new();
-            loop {
-                let op = stream.next_op();
-                ops.push(op);
-                if op == WorkOp::EndTx {
-                    break;
-                }
-            }
-            TxBody::Ops(ops)
-        }
+                .expect("factory lock")
+                .next_tx()
+                .ops,
+        ),
     }
 }
 
@@ -518,5 +514,23 @@ mod tests {
     fn backoff_zero_base_stays_zero() {
         let z = Duration::ZERO;
         assert_eq!(backoff_delay(5, z, Duration::from_secs(1)), z);
+    }
+
+    #[test]
+    #[should_panic(expected = "open loop needs a positive rate")]
+    fn zero_open_rate_is_refused_before_connecting() {
+        // The schedule is validated on the caller's thread before any
+        // connection thread starts, so no server is needed.
+        let addr: SocketAddr = "127.0.0.1:9".parse().unwrap();
+        let _ = run_client(
+            addr,
+            &ClientWorkload::Count { ops: 1, size: 16 },
+            &NetClientConfig {
+                mode: LoadMode::Open {
+                    rate_tx_per_sec: 0.0,
+                },
+                ..NetClientConfig::default()
+            },
+        );
     }
 }

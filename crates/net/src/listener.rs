@@ -24,10 +24,9 @@
 //! admission counters.
 //!
 //! With telemetry attached to the inner server, the front-end registers
-//! the [`net_metric`](webmm_obs::net_metric) family in the same
-//! [`MetricsRegistry`](webmm_obs::MetricsRegistry) the workers use, so
-//! connection churn, byte traffic and protocol errors appear in every
-//! live `ObsSample` without new sampler machinery.
+//! the [`net_metric`] family in the same [`MetricsRegistry`] the workers
+//! use, so connection churn, byte traffic and protocol errors appear in
+//! every live `ObsSample` without new sampler machinery.
 
 use crate::conn::{serve_conn, ConnBuffers, ConnShared, ConnTallies};
 use crate::frame::{Decoder, DEFAULT_MAX_FRAME, DEFAULT_MAX_OPS};

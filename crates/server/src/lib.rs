@@ -10,20 +10,24 @@
 //!
 //! The pieces:
 //!
-//! * [`TxQueue`] / [`AdmissionPolicy`] — bounded MPMC ingress with
-//!   block / reject / shed-oldest backpressure, every outcome counted;
-//! * [`ShardedTxQueue`] / [`QueueMode`] — the scalable ingress: one
-//!   shard per worker, batched drain (up to `batch` transactions per
-//!   lock acquisition), and steal-half work stealing when a worker's
-//!   own shard runs dry; admission policies apply per shard, and the
-//!   accounting identity holds across steals;
+//! * [`ShardedTxQueue`] / [`AdmissionPolicy`] / [`QueueMode`] — the one
+//!   bounded ingress queue, with block / reject / shed-oldest
+//!   backpressure and every outcome counted. In sharded mode (the
+//!   default) it has one shard per worker, batched drain (up to `batch`
+//!   transactions per lock acquisition), and steal-half work stealing
+//!   when a worker's own shard runs dry; admission policies apply per
+//!   shard, and the accounting identity holds across steals. Global mode
+//!   is the single-lock baseline: the same queue with one shard and
+//!   batch 1;
 //! * worker threads — one [`PlainPort`](webmm_sim::PlainPort) address
 //!   space and one heap each, replaying the workload's
 //!   malloc/free/freeAll schedule; `freeAll` (or a survivor sweep for
 //!   allocators without bulk free) empties the heap at every transaction
 //!   boundary;
 //! * [`TxFactory`] + [`drive_closed`] / [`drive_open`] — deterministic
-//!   transaction production under closed- or open-loop arrival models;
+//!   transaction production under closed- or open-loop arrival models,
+//!   the open loop paced by one [`OpenLoopSchedule`] that the network
+//!   client shares;
 //! * [`TxBufferPool`] — transaction op buffers recycled from completed
 //!   (or shed) transactions back to the load generators, so the
 //!   steady-state serving path performs no heap allocation per
@@ -59,7 +63,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod ingress;
 mod loadgen;
 mod pool;
 mod queue;
@@ -68,9 +71,9 @@ mod shard;
 mod telemetry;
 mod worker;
 
-pub use loadgen::{drive_closed, drive_open, TxFactory};
+pub use loadgen::{drive_closed, drive_open, OpenLoopSchedule, TxFactory};
 pub use pool::{PoolStats, TxBufferPool};
-pub use queue::{Admission, AdmissionPolicy, QueueCounters, QueueMode, QueueSnapshot, TxQueue};
+pub use queue::{Admission, AdmissionPolicy, QueueCounters, QueueMode, QueueSnapshot};
 pub use server::{Ingress, Server, ServerConfig, ServerReport};
 pub use shard::ShardedTxQueue;
 pub use telemetry::{render_dashboard, ObsConfig, ObsSample, ServerTelemetry, WorkerHeapSample};

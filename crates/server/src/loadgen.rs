@@ -12,6 +12,10 @@
 //!   regardless of completions, the web-facing arrival model. Pair with
 //!   `Reject`/`ShedOldest` to study overload; with `Block` the schedule
 //!   degrades into a closed loop whenever the queue fills.
+//!
+//! [`OpenLoopSchedule`] is the open-loop arrival schedule itself, shared
+//! with the network load generator (`webmm_net::client`) so both tiers
+//! pace arrivals, and validate the rate, the same way.
 
 use crate::pool::TxBufferPool;
 use crate::server::{Ingress, Server};
@@ -139,24 +143,59 @@ pub fn drive_closed(server: &Server, mut factory: TxFactory, total_tx: u64, clie
     });
 }
 
-/// Drives `total_tx` transactions at `ingress` on a fixed arrival
-/// schedule of `rate_tx_per_sec`, independent of completions. Falls
-/// behind only if transaction *generation* outpaces the schedule.
-///
-/// # Panics
-///
-/// Panics if `rate_tx_per_sec` is not positive.
-pub fn drive_open(ingress: &Ingress, mut factory: TxFactory, total_tx: u64, rate_tx_per_sec: f64) {
-    assert!(rate_tx_per_sec > 0.0, "open loop needs a positive rate");
-    factory.attach_pool(ingress.pool());
-    let interval = Duration::from_secs_f64(1.0 / rate_tx_per_sec);
-    let start = Instant::now();
-    for i in 0..total_tx {
-        let due = start + interval.mul_f64(i as f64);
+/// A fixed open-loop arrival schedule: request `k` (0-based) is due at
+/// `start + k / rate`, independent of completions.
+#[derive(Clone, Copy, Debug)]
+pub struct OpenLoopSchedule {
+    start: Instant,
+    rate_tx_per_sec: f64,
+}
+
+impl OpenLoopSchedule {
+    /// Starts a schedule of `rate_tx_per_sec` arrivals per second now.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rate_tx_per_sec` is not positive and finite.
+    pub fn new(rate_tx_per_sec: f64) -> Self {
+        assert!(
+            rate_tx_per_sec.is_finite() && rate_tx_per_sec > 0.0,
+            "open loop needs a positive rate"
+        );
+        OpenLoopSchedule {
+            start: Instant::now(),
+            rate_tx_per_sec,
+        }
+    }
+
+    /// When request `k` is due.
+    fn due(&self, k: u64) -> Instant {
+        self.start + Duration::from_secs_f64(k as f64 / self.rate_tx_per_sec)
+    }
+
+    /// Sleeps until request `k` is due; returns at once if it is late.
+    pub fn wait_for(&self, k: u64) {
+        let due = self.due(k);
         let now = Instant::now();
         if due > now {
             std::thread::sleep(due - now);
         }
+    }
+}
+
+/// Drives `total_tx` transactions at `ingress` on a fixed arrival
+/// schedule of `rate_tx_per_sec` ([`OpenLoopSchedule`]), independent of
+/// completions. Falls behind only if transaction *generation* outpaces
+/// the schedule.
+///
+/// # Panics
+///
+/// Panics if `rate_tx_per_sec` is not positive and finite.
+pub fn drive_open(ingress: &Ingress, mut factory: TxFactory, total_tx: u64, rate_tx_per_sec: f64) {
+    let schedule = OpenLoopSchedule::new(rate_tx_per_sec);
+    factory.attach_pool(ingress.pool());
+    for k in 0..total_tx {
+        schedule.wait_for(k);
         ingress.submit(factory.next_tx());
     }
 }
@@ -202,6 +241,24 @@ mod tests {
         let mut b = TxFactory::new(phpbb(), 1024, 42);
         for _ in 0..3 {
             assert_eq!(a.next_tx().ops, b.next_tx().ops);
+        }
+    }
+
+    #[test]
+    fn open_schedule_spaces_arrivals_by_the_rate() {
+        let s = OpenLoopSchedule::new(4.0);
+        assert_eq!(s.due(0), s.start);
+        assert_eq!(s.due(1) - s.start, Duration::from_millis(250));
+        assert_eq!(s.due(6) - s.start, Duration::from_millis(1500));
+    }
+
+    #[test]
+    fn open_schedule_rejects_rates_that_are_not_positive_and_finite() {
+        for rate in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let err = std::panic::catch_unwind(|| OpenLoopSchedule::new(rate))
+                .expect_err("rate must be rejected");
+            let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert_eq!(msg, "open loop needs a positive rate", "rate {rate}");
         }
     }
 

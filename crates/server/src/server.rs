@@ -8,9 +8,9 @@
 //! a [`ServerReport`] whose accounting identity
 //! `submitted == completed + shed` is checked before it is returned.
 
-use crate::ingress::IngressQueue;
 use crate::pool::{PoolStats, TxBufferPool};
 use crate::queue::{Admission, AdmissionPolicy, QueueMode};
+use crate::shard::ShardedTxQueue;
 use crate::telemetry::{ObsConfig, ObsSample, Sampler, ServerTelemetry};
 use crate::worker::{self, WorkerReport};
 use crate::Transaction;
@@ -27,16 +27,16 @@ pub struct ServerConfig {
     pub kind: AllocatorKind,
     /// Worker threads (one heap each).
     pub workers: usize,
-    /// Ingress queue capacity (total across shards in sharded mode).
+    /// Ingress queue capacity (total across shards).
     pub queue_capacity: usize,
     /// What happens to arrivals when the queue is full.
     pub policy: AdmissionPolicy,
-    /// Ingress implementation: the single global queue, or one shard per
-    /// worker with batched drain and stealing (the default).
+    /// Ingress shape: one shard per worker with batched drain and
+    /// stealing (the default), or the single-lock baseline — one shard
+    /// every worker drains one transaction at a time.
     pub queue_mode: QueueMode,
     /// Maximum transactions a worker takes from its shard per lock
-    /// acquisition (sharded mode only; the global queue hands over one at
-    /// a time).
+    /// acquisition in sharded mode (global mode always takes one).
     pub batch: usize,
     /// Per-worker static data area (interpreter tables etc.), bytes.
     pub static_bytes: u64,
@@ -61,7 +61,8 @@ impl Default for ServerConfig {
 
 /// A running pool of allocator workers behind a bounded queue.
 pub struct Server {
-    queue: Arc<IngressQueue>,
+    queue: Arc<ShardedTxQueue>,
+    queue_mode: QueueMode,
     pool: Arc<TxBufferPool>,
     handles: Vec<JoinHandle<(WorkerReport, LatencyHistogram)>>,
     kind: AllocatorKind,
@@ -82,13 +83,11 @@ impl Server {
             .obs
             .as_ref()
             .map(|obs| Arc::new(ServerTelemetry::new(obs, config.workers)));
-        let mut queue = IngressQueue::new(
-            config.queue_mode,
-            config.workers,
-            config.queue_capacity,
-            config.policy,
-            config.batch,
-        );
+        let (shards, batch) = match config.queue_mode {
+            QueueMode::Global => (1, 1),
+            QueueMode::Sharded => (config.workers, config.batch),
+        };
+        let mut queue = ShardedTxQueue::new(shards, config.queue_capacity, config.policy, batch);
         if let Some(t) = &telemetry {
             queue.install_telemetry(Arc::clone(t));
         }
@@ -123,6 +122,7 @@ impl Server {
         };
         Server {
             queue,
+            queue_mode: config.queue_mode,
             pool,
             handles,
             kind: config.kind,
@@ -148,7 +148,7 @@ impl Server {
 
     /// Offers one transaction pinned to the shard `key` hashes to —
     /// affinity-keyed submission (same session, same tenant → same
-    /// worker heap). The global queue accepts and ignores the key.
+    /// worker heap). In global mode every key maps to the one shard.
     pub fn submit_affinity(&self, key: u64, tx: Transaction) -> Admission {
         self.queue.submit_affinity(key, tx)
     }
@@ -237,7 +237,7 @@ impl Server {
             workers: per_worker.len() as u64,
             queue_capacity: self.queue.capacity() as u64,
             policy: self.queue.policy().id().to_string(),
-            queue_mode: self.queue.mode().id().to_string(),
+            queue_mode: self.queue_mode.id().to_string(),
             submitted: counters.submitted,
             completed,
             shed: counters.shed,
@@ -260,7 +260,7 @@ impl Server {
 /// Cloneable handle submitting transactions to a running [`Server`].
 #[derive(Clone)]
 pub struct Ingress {
-    queue: Arc<IngressQueue>,
+    queue: Arc<ShardedTxQueue>,
     pool: Arc<TxBufferPool>,
 }
 
@@ -310,8 +310,7 @@ pub struct ServerReport {
     /// Transactions served by a worker other than the one whose shard
     /// admitted them (work stealing; 0 in global mode).
     pub steals: u64,
-    /// Deepest the ingress queue got (deepest single shard in sharded
-    /// mode).
+    /// Deepest any single ingress shard got.
     pub max_queue_depth: u64,
     /// Wall-clock duration of the run (start to drain), nanoseconds.
     pub wall_ns: u64,

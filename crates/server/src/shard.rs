@@ -1,14 +1,20 @@
-//! Sharded work-stealing ingress: per-worker queues, batched drain,
-//! steal-half balancing.
+//! The ingress queue: per-worker shards, batched drain, steal-half
+//! balancing — and, with one shard and batch 1, the global baseline.
 //!
 //! The paper's thesis is that per-transaction memory management must stay
-//! off the shared bottleneck; the serving harness's original single
-//! `Mutex`+`Condvar` ingress queue re-created exactly such a bottleneck
-//! in software — every submitter and every worker serialized on one lock,
-//! so adding workers mostly added lock handoffs. This module applies the
-//! same cure multicore allocators use (Hoard's per-processor heaps,
-//! scalloc's per-core spans): **per-worker structures with stealing for
-//! balance**.
+//! off the shared bottleneck; a single `Mutex`+`Condvar` ingress queue
+//! re-creates exactly such a bottleneck in software — every submitter and
+//! every worker serialized on one lock, so adding workers mostly adds
+//! lock handoffs. This module applies the same cure multicore allocators
+//! use (Hoard's per-processor heaps, scalloc's per-core spans):
+//! **per-worker structures with stealing for balance**.
+//!
+//! The server builds one [`ShardedTxQueue`] in either
+//! [`QueueMode`](crate::QueueMode): `Sharded` gives every worker its own
+//! shard and drains up to `batch` transactions per lock; `Global` is the
+//! same type with one shard and batch 1, so every worker shares one lock
+//! and takes one transaction per acquisition — the single-lock baseline,
+//! with the same admission semantics.
 //!
 //! * Submitters spread transactions over one shard per worker, round-robin
 //!   by default or keyed by an affinity value ([`ShardedTxQueue::submit_affinity`]).
@@ -21,8 +27,8 @@
 //!
 //! Admission control ([`AdmissionPolicy`]) applies at the *shard* level:
 //! the configured capacity is divided evenly across shards, and a full
-//! shard blocks / rejects / sheds its own oldest exactly as the global
-//! queue would. Shard-level shed preserves the paper's drop semantics —
+//! shard blocks / rejects / sheds its own oldest — with one shard, the
+//! whole queue. Shard-level shed preserves the paper's drop semantics —
 //! under overload the freshest work in each shard survives — while
 //! keeping the shed decision on the submitter's lock, never a global one.
 //!
@@ -42,15 +48,15 @@ use crate::telemetry::ServerTelemetry;
 use crate::Transaction;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use webmm_obs::ShardSample;
 
 /// How a batch of transactions reached a worker.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub(crate) enum Fill {
-    /// `n` transactions drained from the worker's own shard (or, for the
-    /// global queue, popped from the shared buffer).
+    /// `n` transactions drained from the worker's home shard (the one
+    /// shared shard in global mode).
     Own(usize),
     /// `n` transactions stolen from another worker's shard.
     Stolen(usize),
@@ -160,7 +166,7 @@ impl ShardedTxQueue {
         self.configured_capacity
     }
 
-    /// Number of shards (one per worker).
+    /// Number of shards (one per worker, or one in global mode).
     pub fn shards(&self) -> usize {
         self.shards.len()
     }
@@ -170,9 +176,8 @@ impl ShardedTxQueue {
         self.shard_capacity
     }
 
-    /// Offers a transaction to the next shard in round-robin order. Same
-    /// admission semantics as [`TxQueue::submit`](crate::TxQueue::submit),
-    /// applied at the chosen shard.
+    /// Offers a transaction to the next shard in round-robin order; the
+    /// chosen shard applies the [`AdmissionPolicy`] when it is full.
     pub fn submit(&self, tx: Transaction) -> Admission {
         let shard = self.rr.fetch_add(1, Ordering::Relaxed) % self.shards.len();
         self.submit_to(shard, tx)
@@ -194,36 +199,20 @@ impl ShardedTxQueue {
         let s = &self.shards[shard];
         let mut st = s.state.lock().expect("shard lock");
         st.counters.submitted += 1;
-        if self.closed.load(Ordering::Acquire) {
-            st.counters.shed += 1;
-            drop(st);
-            trace_shed(&self.telemetry, tx.id, None);
-            recycle(&self.pool, tx);
-            return Admission::Rejected;
+        if self.is_closed() {
+            return self.refuse(st, tx);
         }
         if st.buf.len() >= self.shard_capacity {
             match self.policy {
                 AdmissionPolicy::Block => {
-                    while st.buf.len() >= self.shard_capacity
-                        && !self.closed.load(Ordering::Acquire)
-                    {
+                    while st.buf.len() >= self.shard_capacity && !self.is_closed() {
                         st = s.not_full.wait(st).expect("shard lock");
                     }
-                    if self.closed.load(Ordering::Acquire) {
-                        st.counters.shed += 1;
-                        drop(st);
-                        trace_shed(&self.telemetry, tx.id, None);
-                        recycle(&self.pool, tx);
-                        return Admission::Rejected;
+                    if self.is_closed() {
+                        return self.refuse(st, tx);
                     }
                 }
-                AdmissionPolicy::Reject => {
-                    st.counters.shed += 1;
-                    drop(st);
-                    trace_shed(&self.telemetry, tx.id, None);
-                    recycle(&self.pool, tx);
-                    return Admission::Rejected;
-                }
+                AdmissionPolicy::Reject => return self.refuse(st, tx),
                 AdmissionPolicy::ShedOldest => {
                     let victim = st.buf.pop_front();
                     st.counters.shed += 1;
@@ -251,16 +240,28 @@ impl ShardedTxQueue {
         Admission::Accepted
     }
 
+    /// Turns `tx` away at the shard whose lock `st` holds: counts it as
+    /// shed there, then traces and recycles it after unlocking.
+    fn refuse(&self, mut st: MutexGuard<'_, ShardState>, tx: Transaction) -> Admission {
+        st.counters.shed += 1;
+        drop(st);
+        trace_shed(&self.telemetry, tx.id, None);
+        recycle(&self.pool, tx);
+        Admission::Rejected
+    }
+
     /// Fills `out` with worker `worker`'s next batch: up to `batch`
-    /// transactions drained from its own shard under one lock, or — when
-    /// the shard is dry — the older half of the first non-empty victim
-    /// shard's backlog (capped at `batch`). Blocks (with a steal-retry
-    /// timeout, since work may arrive only at *other* shards under
-    /// affinity keying) while the queue is open and everything is empty.
-    /// Returns [`Fill::Closed`] once the queue is closed *and* every
-    /// shard has drained.
+    /// transactions drained from its home shard (`worker % shards()`)
+    /// under one lock, or — when that shard is dry — the older half of
+    /// the first non-empty victim shard's backlog (capped at `batch`).
+    /// With one shard every worker shares the home shard and nothing is
+    /// stolen. Blocks (with a steal-retry timeout, since work may arrive
+    /// only at *other* shards under affinity keying) while the queue is
+    /// open and everything is empty. Returns [`Fill::Closed`] once the
+    /// queue is closed *and* every shard has drained.
     pub(crate) fn pop_batch(&self, worker: usize, out: &mut VecDeque<QueuedTx>) -> Fill {
         let n = self.shards.len();
+        let home = worker % n;
         loop {
             // Read the flag *before* scanning: if it was set before the
             // scan began, no shard can refill afterwards (submissions are
@@ -269,9 +270,9 @@ impl ShardedTxQueue {
             // causes one more loop iteration.
             let was_closed = self.closed.load(Ordering::Acquire);
 
-            // Own shard first: one lock, whole batch.
+            // Home shard first: one lock, whole batch.
             {
-                let s = &self.shards[worker];
+                let s = &self.shards[home];
                 let mut st = s.state.lock().expect("shard lock");
                 let take = self.batch.min(st.buf.len());
                 if take > 0 {
@@ -284,9 +285,9 @@ impl ShardedTxQueue {
                 }
             }
 
-            // Steal scan: victims in rotating order starting after us.
+            // Steal scan: victims in rotating order starting after home.
             for off in 1..n {
-                let victim = (worker + off) % n;
+                let victim = (home + off) % n;
                 let s = &self.shards[victim];
                 let mut st = s.state.lock().expect("shard lock");
                 let backlog = st.buf.len();
@@ -310,7 +311,7 @@ impl ShardedTxQueue {
             // Everything empty, queue open: wait for an arrival on the
             // home shard. Timed, because under affinity keying new work
             // may only ever land on other shards and nobody signals ours.
-            let s = &self.shards[worker];
+            let s = &self.shards[home];
             let st = s.state.lock().expect("shard lock");
             if st.buf.is_empty() && !self.closed.load(Ordering::Acquire) {
                 let _ = s
@@ -419,6 +420,40 @@ mod tests {
         assert_eq!(q.pop_batch(0, &mut out), Fill::Closed);
         let ids: Vec<u64> = out.iter().map(|q| q.tx.id).collect();
         assert_eq!(ids, (0..10).collect::<Vec<_>>());
+
+        // Global mode (one shard, batch 1): one transaction per call, in
+        // submission order, with the depth high-water mark recorded.
+        let q = ShardedTxQueue::new(1, 8, AdmissionPolicy::Reject, 1);
+        for i in 0..5 {
+            assert_eq!(q.submit(tx(i)), Admission::Accepted);
+        }
+        for i in 0..5 {
+            let mut out = VecDeque::new();
+            assert_eq!(q.pop_batch(0, &mut out), Fill::Own(1));
+            assert_eq!(out.pop_front().unwrap().tx.id, i);
+        }
+        assert_eq!(q.counters().max_depth, 5);
+    }
+
+    #[test]
+    fn one_shard_queue_serves_every_worker_index() {
+        // Global mode gives every worker the same single shard; worker
+        // indices past the shard count must map onto it, not past it.
+        let q = ShardedTxQueue::new(1, 8, AdmissionPolicy::Block, 1);
+        for i in 0..3 {
+            q.submit(tx(i));
+        }
+        let mut out = VecDeque::new();
+        assert_eq!(q.pop_batch(1, &mut out), Fill::Own(1));
+        assert_eq!(q.pop_batch(3, &mut out), Fill::Own(1));
+        assert_eq!(q.pop_batch(0, &mut out), Fill::Own(1));
+        let ids: Vec<u64> = out.iter().map(|q| q.tx.id).collect();
+        assert_eq!(ids, vec![0, 1, 2]);
+        q.close();
+        for worker in [0, 1, 3, 7] {
+            assert_eq!(q.pop_batch(worker, &mut out), Fill::Closed);
+        }
+        assert_eq!(q.snapshot().shards[0].stolen, 0, "one shard: no steals");
     }
 
     #[test]
@@ -491,6 +526,15 @@ mod tests {
         let mut ids = drain_ids(&q, 0);
         ids.sort_unstable();
         assert_eq!(ids, vec![1, 2, 10], "tx 0 was the displaced victim");
+
+        // One shard, batch 1: the queue keeps the freshest two, in order.
+        let q = ShardedTxQueue::new(1, 2, AdmissionPolicy::ShedOldest, 1);
+        q.submit(tx(0));
+        q.submit(tx(1));
+        assert_eq!(q.submit(tx(2)), Admission::AcceptedSheddingOldest);
+        assert_eq!(q.counters().shed, 1);
+        q.close();
+        assert_eq!(drain_ids(&q, 1), vec![1, 2], "tx 0 was displaced");
     }
 
     #[test]
@@ -502,6 +546,15 @@ mod tests {
         assert_eq!(q.submit_affinity(1, tx(2)), Admission::Accepted);
         let c = q.counters();
         assert_eq!((c.submitted, c.shed), (3, 1));
+
+        // One shard: a full queue bounces every arrival.
+        let q = ShardedTxQueue::new(1, 2, AdmissionPolicy::Reject, 1);
+        assert_eq!(q.submit(tx(0)), Admission::Accepted);
+        assert_eq!(q.submit(tx(1)), Admission::Accepted);
+        assert_eq!(q.submit(tx(2)), Admission::Rejected);
+        let c = q.counters();
+        assert_eq!((c.submitted, c.shed), (3, 1));
+        assert_eq!(q.depth(), 2);
     }
 
     #[test]
@@ -521,18 +574,27 @@ mod tests {
     }
 
     #[test]
-    fn block_policy_waits_for_shard_space_freed_by_steal() {
-        let q = Arc::new(ShardedTxQueue::new(2, 2, AdmissionPolicy::Block, 8));
-        q.submit_affinity(0, tx(0));
-        let q2 = Arc::clone(&q);
-        let submitter = std::thread::spawn(move || q2.submit_affinity(0, tx(1)));
-        std::thread::sleep(Duration::from_millis(20));
-        // Worker 1 stealing from shard 0 frees the slot the blocked
-        // submitter is waiting for.
-        let mut out = VecDeque::new();
-        assert_eq!(q.pop_batch(1, &mut out), Fill::Stolen(1));
-        assert_eq!(submitter.join().unwrap(), Admission::Accepted);
-        assert_eq!(q.counters().shed, 0);
+    fn block_policy_waits_for_shard_space_freed_by_drain_or_steal() {
+        // (shards, worker, fill): worker 1 stealing from shard 0, or any
+        // worker draining global mode's one shard, frees the slot the
+        // blocked submitter is waiting for.
+        for (shards, worker, fill) in [(2, 1, Fill::Stolen(1)), (1, 1, Fill::Own(1))] {
+            let q = Arc::new(ShardedTxQueue::new(
+                shards,
+                shards,
+                AdmissionPolicy::Block,
+                8,
+            ));
+            q.submit_affinity(0, tx(0));
+            let q2 = Arc::clone(&q);
+            let submitter = std::thread::spawn(move || q2.submit_affinity(0, tx(1)));
+            std::thread::sleep(Duration::from_millis(20));
+            let mut out = VecDeque::new();
+            assert_eq!(q.pop_batch(worker, &mut out), fill);
+            assert_eq!(out.pop_front().unwrap().tx.id, 0);
+            assert_eq!(submitter.join().unwrap(), Admission::Accepted);
+            assert_eq!(q.counters().shed, 0);
+        }
     }
 
     #[test]
@@ -548,16 +610,25 @@ mod tests {
 
     #[test]
     fn pop_batch_blocks_until_work_arrives() {
-        let q = Arc::new(ShardedTxQueue::new(2, 8, AdmissionPolicy::Block, 4));
-        let q2 = Arc::clone(&q);
-        let popper = std::thread::spawn(move || {
-            let mut out = VecDeque::new();
-            q2.pop_batch(0, &mut out);
-            out.pop_front().map(|q| q.tx.id)
-        });
-        std::thread::sleep(Duration::from_millis(20));
-        q.submit_affinity(0, tx(9));
-        assert_eq!(popper.join().unwrap(), Some(9));
+        // (shards, batch, worker): a per-worker shard, and global mode's
+        // one shard popped by a worker index past the shard count.
+        for (shards, batch, worker) in [(2, 4, 0), (1, 1, 1)] {
+            let q = Arc::new(ShardedTxQueue::new(
+                shards,
+                8,
+                AdmissionPolicy::Block,
+                batch,
+            ));
+            let q2 = Arc::clone(&q);
+            let popper = std::thread::spawn(move || {
+                let mut out = VecDeque::new();
+                let fill = q2.pop_batch(worker, &mut out);
+                (fill, out.pop_front().map(|q| q.tx.id))
+            });
+            std::thread::sleep(Duration::from_millis(20));
+            q.submit_affinity(0, tx(9));
+            assert_eq!(popper.join().unwrap(), (Fill::Own(1), Some(9)));
+        }
     }
 
     #[test]

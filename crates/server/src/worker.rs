@@ -17,9 +17,9 @@
 //! amortized — one timestamp per drained batch on the dequeue side, one
 //! per transaction at completion, and metric flushes once per batch.
 
-use crate::ingress::IngressQueue;
 use crate::pool::TxBufferPool;
-use crate::shard::Fill;
+use crate::queue::QueuedTx;
+use crate::shard::{Fill, ShardedTxQueue};
 use crate::telemetry::{ServerTelemetry, WorkerMetrics};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -49,7 +49,8 @@ pub struct WorkerReport {
     /// metadata work plus application compute).
     pub sim_instructions: u64,
     /// Transactions this worker obtained by stealing from other workers'
-    /// shards (always 0 with the global queue; counted on the thief).
+    /// shards (always 0 in global mode, whose one shard every worker
+    /// shares; counted on the thief).
     pub steals: u64,
 }
 
@@ -212,10 +213,10 @@ impl TxExecutor {
 /// histogram.
 ///
 /// Intake is batched: the worker refills a private `pending` buffer from
-/// its ingress (its own shard in one lock acquisition, or a steal from a
-/// victim shard when dry — one transaction per call with the global
-/// queue) and then serves the whole batch without touching any shared
-/// lock. Steals are counted on the thief's report.
+/// its ingress (its home shard in one lock acquisition, or a steal from a
+/// victim shard when dry — one transaction per call in global mode, where
+/// the batch is 1) and then serves the whole batch without touching any
+/// shared lock. Steals are counted on the thief's report.
 ///
 /// Timing is amortized over the batch: queue-wait is measured against a
 /// single per-batch timestamp taken right after the refill, and each
@@ -234,7 +235,7 @@ pub(crate) fn run(
     worker: u64,
     kind: AllocatorKind,
     static_bytes: u64,
-    queue: Arc<IngressQueue>,
+    queue: Arc<ShardedTxQueue>,
     pool: Arc<TxBufferPool>,
     telemetry: Option<Arc<ServerTelemetry>>,
 ) -> (WorkerReport, LatencyHistogram) {
@@ -244,10 +245,10 @@ pub(crate) fn run(
         .as_deref()
         .map(|t| WorkerMetrics::new(t, worker as usize));
     let mut last_publish: Option<Instant> = None;
-    let mut pending: VecDeque<crate::queue::QueuedTx> = VecDeque::new();
+    let mut pending: VecDeque<QueuedTx> = VecDeque::new();
     'serve: loop {
         while pending.is_empty() {
-            match queue.fill(worker as usize, &mut pending) {
+            match queue.pop_batch(worker as usize, &mut pending) {
                 Fill::Closed => break 'serve,
                 Fill::Own(_) => {}
                 Fill::Stolen(n) => {
