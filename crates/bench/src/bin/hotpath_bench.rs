@@ -12,6 +12,8 @@
 //!   buffers vs a fresh `Vec` per transaction (ns/tx);
 //! * **timestamps** — the dequeue-side clock discipline: one
 //!   `Instant::now()` per drained batch vs one per transaction (ns/tx);
+//! * **generator** — the load generator alone: `TxFactory::next_tx` with
+//!   a buffer pool attached, phpBB at 1/1024 (ns/op and µs/tx);
 //! * **serving** — a mini end-to-end run per ingress queue mode, checking
 //!   the accounting identity `submitted == completed + shed` and that the
 //!   buffer pool actually recycles at steady state.
@@ -25,6 +27,7 @@
 
 use std::collections::HashMap;
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Instant;
 use webmm_profiler::report::{heading, table};
 use webmm_server::{drive_closed, Server, ServerConfig, TxBufferPool, TxFactory};
@@ -42,6 +45,7 @@ struct HotpathReport {
     object_table: TableSection,
     tx_buffers: BufferSection,
     timestamps: TimestampSection,
+    generator: GeneratorSection,
     serving: Vec<ServingSection>,
 }
 
@@ -78,6 +82,19 @@ struct TimestampSection {
     per_tx_ns_per_tx: f64,
     /// `per_tx / per_batch` — above 1.0 means batching the clock wins.
     speedup: f64,
+}
+
+/// `TxFactory::next_tx` with a pool attached, every buffer returned.
+#[derive(Debug, serde::Serialize, serde::Deserialize)]
+struct GeneratorSection {
+    /// Workload scale divisor (phpBB).
+    scale: u64,
+    /// Transactions generated per pass.
+    tx: u64,
+    /// Ops generated per pass.
+    ops: u64,
+    ns_per_op: f64,
+    us_per_tx: f64,
 }
 
 /// One mini serving run (one ingress queue mode).
@@ -349,6 +366,34 @@ fn bench_timestamps(tx: u64, batch: u64) -> TimestampSection {
     }
 }
 
+fn bench_generator(tx: u64, seed: u64) -> GeneratorSection {
+    const SCALE: u32 = 1024;
+    let pool = Arc::new(TxBufferPool::new(1, 4));
+    let mut best_ns = u64::MAX;
+    let mut ops = 0;
+    for _ in 0..PASSES {
+        // Same seed every pass, so every pass generates the same ops; the
+        // pool's buffer is warm after the first transaction.
+        let mut factory = TxFactory::new(phpbb(), SCALE, seed);
+        factory.attach_pool(Arc::clone(&pool));
+        ops = 0;
+        let start = Instant::now();
+        for _ in 0..tx {
+            let t = factory.next_tx();
+            ops += t.ops.len() as u64;
+            pool.put(t.ops);
+        }
+        best_ns = best_ns.min(start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
+    }
+    GeneratorSection {
+        scale: u64::from(SCALE),
+        tx,
+        ops,
+        ns_per_op: best_ns as f64 / ops as f64,
+        us_per_tx: best_ns as f64 / tx as f64 / 1e3,
+    }
+}
+
 fn bench_serving(tx: u64, batch: usize, seed: u64) -> Vec<ServingSection> {
     use webmm_server::QueueMode;
     [QueueMode::Global, QueueMode::Sharded]
@@ -402,6 +447,7 @@ fn main() {
     let object_table = bench_object_table(&txs);
     let tx_buffers = bench_tx_buffers(&txs);
     let timestamps = bench_timestamps(args.tx, args.batch as u64);
+    let generator = bench_generator(args.tx, args.seed);
     let serving = bench_serving(args.tx, args.batch, args.seed);
 
     let mut rows = vec![vec![
@@ -429,6 +475,10 @@ fn main() {
         format!("{:5.2}x", timestamps.speedup),
     ]);
     print!("{}", table(&rows));
+    println!(
+        "generator (phpBB 1/{}, pool attached): {:.1} ns/op, {:.2} us/tx over {} ops",
+        generator.scale, generator.ns_per_op, generator.us_per_tx, generator.ops
+    );
 
     for s in &serving {
         println!(
@@ -445,6 +495,7 @@ fn main() {
         object_table,
         tx_buffers,
         timestamps,
+        generator,
         serving,
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");

@@ -10,16 +10,17 @@
 //! tracked, asserting the tracked phase allocated nothing for every
 //! allocator family in the paper's PHP study.
 //!
-//! The workload *generator* (`TxStream`) is deliberately outside the
-//! audit: it runs on client threads, not workers, and its cross-
-//! transaction lifetime bookkeeping (a `BTreeMap` of pending deaths) is
-//! inherently allocating. The claim under test is about the serving hot
-//! path: everything between a transaction leaving the queue and its
-//! buffer returning to the pool.
+//! The workload generator is audited the same way: a [`TxFactory`] with
+//! a pool attached, warmed for a few transactions, must then produce
+//! every transaction without allocating. Its pending deaths and touches
+//! live in timing wheels whose node slab, like the pooled op buffer,
+//! stops growing once warm, so the load-generation side of the loop is
+//! allocation-free too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use webmm_alloc::AllocatorKind;
 use webmm_server::{TxBufferPool, TxExecutor, TxFactory};
 use webmm_workload::{phpbb, WorkOp};
@@ -90,8 +91,8 @@ fn serve_rounds(
 
 /// Tracked allocations during a steady-state serving phase for `kind`.
 fn steady_state_allocations(kind: AllocatorKind) -> u64 {
-    // Template transactions are generated up front (the generator is
-    // allowed to allocate; see module docs).
+    // Template transactions are generated up front, so only the serving
+    // path is tracked here.
     let mut factory = TxFactory::new(phpbb(), 1024, 7);
     let templates: Vec<Vec<WorkOp>> = (0..8).map(|_| factory.next_tx().ops).collect();
 
@@ -118,6 +119,38 @@ fn steady_state_serving_is_allocation_free_for_all_study_allocators() {
             allocs, 0,
             "{kind}: steady-state transactions must not touch the Rust heap \
              ({allocs} allocations in 256 warmed transactions)"
+        );
+    }
+}
+
+/// Tracked allocations of `tracked` warmed `TxFactory::next_tx` calls:
+/// phpBB at `scale` with a pool attached, each buffer returned after use
+/// as a worker would.
+fn generator_allocations(scale: u32, warm: usize, tracked: usize) -> u64 {
+    let pool = Arc::new(TxBufferPool::new(1, 4));
+    let mut factory = TxFactory::new(phpbb(), scale, 7);
+    factory.attach_pool(Arc::clone(&pool));
+    for _ in 0..warm {
+        pool.put(factory.next_tx().ops);
+    }
+    TRACKED_ALLOCS.store(0, Ordering::Relaxed);
+    TRACK.with(|t| t.set(true));
+    for _ in 0..tracked {
+        pool.put(factory.next_tx().ops);
+    }
+    TRACK.with(|t| t.set(false));
+    TRACKED_ALLOCS.load(Ordering::Relaxed)
+}
+
+#[test]
+fn warmed_generator_is_allocation_free() {
+    let _guard = AUDIT_LOCK.lock().unwrap();
+    for (scale, warm, tracked) in [(1024, 16, 1024), (16, 4, 32)] {
+        let allocs = generator_allocations(scale, warm, tracked);
+        assert_eq!(
+            allocs, 0,
+            "phpBB 1/{scale}: warmed next_tx must not touch the Rust heap \
+             ({allocs} allocations in {tracked} transactions)"
         );
     }
 }

@@ -8,6 +8,12 @@
 //! remainder to the transaction-end bulk free, matching Table 3's
 //! free/malloc ratios; sizes come from the log-normal
 //! [`SizeSampler`](crate::SizeSampler).
+//!
+//! Pending deaths and mid-life touches sit in a timing wheel (`Wheel`):
+//! one bucket per tick over the span in-transaction lifetimes can reach,
+//! its lists threaded through one reusable node slab, plus an ordered
+//! overflow for Ruby's cross-transaction deaths. Once warmed, generating
+//! a tick allocates nothing.
 
 use crate::objtable::ObjectTable;
 use crate::sizes::SizeSampler;
@@ -15,7 +21,8 @@ use crate::spec::WorkloadSpec;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// One operation of a transaction stream.
 ///
@@ -114,10 +121,13 @@ pub struct TxStream {
     next_id: u64,
     tick: u64,
     ticks_into_tx: u64,
-    /// tick → objects dying there.
-    deaths: BTreeMap<u64, Vec<u64>>,
-    /// tick → objects touched (read) there.
-    touches: BTreeMap<u64, Vec<u64>>,
+    /// `ln(max_gap)`, the upper end of the log-uniform draw of an
+    /// in-transaction lifetime (`max_gap` bounds that lifetime in ticks).
+    log_max_gap: f64,
+    /// Objects dying at each pending tick.
+    deaths: Wheel,
+    /// Objects touched (read) at each pending tick.
+    touches: Wheel,
     /// Live objects and their current sizes. Ids come from the monotonic
     /// `next_id` counter, so the dense generation-stamped table replaces
     /// the original `HashMap`: no hashing per op, O(1) clear at `EndTx`.
@@ -146,6 +156,11 @@ impl TxStream {
         );
         let reallocs = (spec.reallocs_per_tx / u64::from(scale)).max(1);
         let sizes = SizeSampler::new(spec.mean_alloc_bytes);
+        let max_gap = (tx_ticks / 2).clamp(2, 1024);
+        // In-transaction deaths, and the touches before them, land at most
+        // `max_gap` ticks ahead; survivor touches at most
+        // `SURVIVOR_TOUCH_REACH`. Only cross-transaction deaths overflow.
+        let reach = max_gap.max(tx_ticks.min(SURVIVOR_TOUCH_REACH));
         TxStream {
             rng: ChaCha8Rng::seed_from_u64(seed ^ 0x5eed_c0de),
             sizes,
@@ -154,8 +169,9 @@ impl TxStream {
             next_id: 1,
             tick: 0,
             ticks_into_tx: 0,
-            deaths: BTreeMap::new(),
-            touches: BTreeMap::new(),
+            log_max_gap: (max_gap as f64).ln(),
+            deaths: Wheel::new(reach),
+            touches: Wheel::new(reach),
             // Live ids span at most ~6 transactions (cross-tx lifetimes
             // cap at 4 whole transactions plus an in-tx remainder), so
             // 8× the per-tx tick count avoids ever growing.
@@ -203,46 +219,26 @@ impl TxStream {
         None
     }
 
-    fn emit_free(&mut self, id: u64) {
-        if self.live.remove(id).is_some() {
-            // Objects are typically read one last time right before dying
-            // (string consumed, array iterated, zval refcount dropped).
-            self.queue.push_back(WorkOp::Touch { id, write: false });
-            self.queue.push_back(WorkOp::Free { id });
-            self.stats.frees += 1;
-        }
-    }
-
     fn generate_tick(&mut self) {
-        // 1. Deaths and touches that fall due at this tick. Done before the
-        //    transaction-boundary check so lifetimes clamped to the final
-        //    tick still emit their per-object free before freeAll.
-        let due_deaths = self
-            .deaths
-            .range(..=self.tick)
-            .map(|(&t, _)| t)
-            .collect::<Vec<_>>();
-        for t in due_deaths {
-            if let Some(ids) = self.deaths.remove(&t) {
-                for id in ids {
-                    self.emit_free(id);
-                }
+        // 1. Deaths, then touches, that fall due at this tick. Done before
+        //    the transaction-boundary check so lifetimes clamped to the
+        //    final tick still emit their per-object free before freeAll.
+        let (live, queue, stats) = (&mut self.live, &mut self.queue, &mut self.stats);
+        self.deaths.drain(self.tick, |id| {
+            if live.remove(id).is_some() {
+                // Objects are typically read one last time right before
+                // dying (string consumed, array iterated, zval refcount
+                // dropped).
+                queue.push_back(WorkOp::Touch { id, write: false });
+                queue.push_back(WorkOp::Free { id });
+                stats.frees += 1;
             }
-        }
-        let due_touches = self
-            .touches
-            .range(..=self.tick)
-            .map(|(&t, _)| t)
-            .collect::<Vec<_>>();
-        for t in due_touches {
-            if let Some(ids) = self.touches.remove(&t) {
-                for id in ids {
-                    if self.live.contains(id) {
-                        self.queue.push_back(WorkOp::Touch { id, write: false });
-                    }
-                }
+        });
+        self.touches.drain(self.tick, |id| {
+            if live.contains(id) {
+                queue.push_back(WorkOp::Touch { id, write: false });
             }
-        }
+        });
 
         // Transaction boundary.
         if self.ticks_into_tx == self.tx_ticks {
@@ -252,8 +248,8 @@ impl TxStream {
             if self.spec.bulk_free_at_end {
                 // freeAll kills everything: drop all pending lifetimes.
                 // The live table's clear is a generation bump — O(1).
-                self.deaths.clear();
-                self.touches.clear();
+                self.deaths.clear(self.tick);
+                self.touches.clear(self.tick);
                 self.live.clear();
                 self.live_order.clear();
             }
@@ -287,19 +283,19 @@ impl TxStream {
         let p_free = self.spec.per_object_free_ratio();
         if self.rng.gen_bool(p_free.min(1.0)) {
             let gap = self.draw_gap();
-            let death = self.tick + gap;
-            self.deaths.entry(death).or_default().push(id);
+            self.deaths.push(self.tick, self.tick + gap, id);
             // Mid-life read touches.
             for k in 1..=self.spec.touches_per_object as u64 {
                 let at = self.tick + (gap * k) / (u64::from(self.spec.touches_per_object) + 1);
                 if at > self.tick {
-                    self.touches.entry(at).or_default().push(id);
+                    self.touches.push(self.tick, at, id);
                 }
             }
         } else if self.spec.bulk_free_at_end {
             // Survivor: lives to freeAll; touch it once mid-transaction.
-            let at = self.tick + self.rng.gen_range(1..=self.tx_ticks.min(256));
-            self.touches.entry(at).or_default().push(id);
+            let reach = self.tx_ticks.min(SURVIVOR_TOUCH_REACH);
+            let at = self.tick + self.rng.gen_range(1..=reach);
+            self.touches.push(self.tick, at, id);
         }
 
         // 5. Occasional realloc (growing a string/array).
@@ -318,18 +314,16 @@ impl TxStream {
     }
 
     /// Draws an object lifetime in allocation ticks: LIFO-biased
-    /// (log-uniform) short lives, clamped to die before the transaction
-    /// ends for bulk-freeing runtimes; a configured fraction crosses
-    /// transaction boundaries otherwise.
+    /// (log-uniform, at most `max_gap`) short lives, clamped to die before
+    /// the transaction ends for bulk-freeing runtimes; a configured
+    /// fraction crosses transaction boundaries otherwise.
     fn draw_gap(&mut self) -> u64 {
         if !self.spec.bulk_free_at_end && self.rng.gen_bool(self.spec.cross_tx_fraction) {
             // Ruby: survives 1-4 transactions past this one.
             let txs = self.rng.gen_range(1u64..=4);
             return txs * self.tx_ticks + self.rng.gen_range(0..self.tx_ticks);
         }
-        let max_gap = (self.tx_ticks / 2).clamp(2, 1024);
-        let log_max = (max_gap as f64).ln();
-        let gap = self.rng.gen_range(0.0..log_max).exp() as u64;
+        let gap = self.rng.gen_range(0.0..self.log_max_gap).exp() as u64;
         let gap = gap.max(1);
         if self.spec.bulk_free_at_end {
             // Die before freeAll: remaining ticks in this transaction.
@@ -338,6 +332,149 @@ impl TxStream {
         } else {
             gap
         }
+    }
+}
+
+/// How far ahead a bulk-freed survivor's one mid-transaction touch may
+/// land, in ticks.
+const SURVIVOR_TOUCH_REACH: u64 = 256;
+
+/// Object ids keyed by the tick at which they fall due: a timing wheel.
+///
+/// The ring has one bucket per tick over a span of `ring.len()` ticks (a
+/// power of two); `ring[t & mask]` lists the ids due at tick `t`, in push
+/// order. The lists are threaded through one node slab with a free list,
+/// so a warmed wheel never allocates: the slab only grows when more ids
+/// are pending at once than ever before. (A `Vec` per bucket would keep
+/// allocating for thousands of transactions: the deaths clamped to a PHP
+/// transaction's last tick pile into one bucket, a different one each
+/// transaction.)
+///
+/// An id due beyond the span goes to the overflow, ordered by `(tick,
+/// push sequence)`, and is cascaded into its bucket at the start of the
+/// first tick whose span covers it. Every direct push for that bucket
+/// happens at that tick or later, so cascaded ids precede them and each
+/// bucket drains in the order its ids were scheduled.
+#[derive(Debug)]
+struct Wheel {
+    ring: Vec<Bucket>,
+    mask: u64,
+    nodes: Vec<Node>,
+    /// Head of the list of recycled `nodes`.
+    free: u32,
+    /// Latest tick a bucket was filled for; every listed id is due in
+    /// `now..=horizon`.
+    horizon: u64,
+    overflow: BinaryHeap<Reverse<(u64, u64, u64)>>,
+    /// Push sequence number for overflow entries.
+    seq: u64,
+}
+
+/// End of a node list.
+const NIL: u32 = u32::MAX;
+
+/// First and last node of one tick's list.
+#[derive(Copy, Clone, Debug)]
+struct Bucket {
+    head: u32,
+    tail: u32,
+}
+
+const EMPTY: Bucket = Bucket {
+    head: NIL,
+    tail: NIL,
+};
+
+#[derive(Copy, Clone, Debug)]
+struct Node {
+    id: u64,
+    next: u32,
+}
+
+impl Wheel {
+    /// A wheel whose ring holds every id due at most `reach` ticks ahead.
+    fn new(reach: u64) -> Self {
+        let len = (reach + 1).next_power_of_two();
+        Wheel {
+            ring: vec![EMPTY; len as usize],
+            mask: len - 1,
+            nodes: Vec::new(),
+            free: NIL,
+            horizon: 0,
+            overflow: BinaryHeap::new(),
+            seq: 0,
+        }
+    }
+
+    fn span(&self) -> u64 {
+        self.mask + 1
+    }
+
+    /// Schedules `id` at tick `at`, as seen from tick `now < at`.
+    fn push(&mut self, now: u64, at: u64, id: u64) {
+        debug_assert!(at > now, "events are scheduled strictly ahead");
+        if at - now < self.span() {
+            self.link(at, id);
+        } else {
+            self.overflow.push(Reverse((at, self.seq, id)));
+            self.seq += 1;
+        }
+    }
+
+    /// Appends `id` to tick `at`'s list.
+    fn link(&mut self, at: u64, id: u64) {
+        let node = Node { id, next: NIL };
+        let n = if self.free == NIL {
+            self.nodes.push(node);
+            u32::try_from(self.nodes.len() - 1).expect("pending ids fit u32")
+        } else {
+            let n = self.free;
+            self.free = self.nodes[n as usize].next;
+            self.nodes[n as usize] = node;
+            n
+        };
+        let bucket = &mut self.ring[(at & self.mask) as usize];
+        if bucket.head == NIL {
+            bucket.head = n;
+        } else {
+            self.nodes[bucket.tail as usize].next = n;
+        }
+        bucket.tail = n;
+        self.horizon = self.horizon.max(at);
+    }
+
+    /// Calls `f` on every id due at `now`, in scheduling order, and
+    /// empties that bucket. Must run at the start of every tick, before
+    /// the tick schedules anything: it first cascades the overflow
+    /// entries that `now`'s span covers.
+    fn drain(&mut self, now: u64, mut f: impl FnMut(u64)) {
+        while let Some(&Reverse((at, _, id))) = self.overflow.peek() {
+            if at - now >= self.span() {
+                break;
+            }
+            self.overflow.pop();
+            self.link(at, id);
+        }
+        let bucket = std::mem::replace(&mut self.ring[(now & self.mask) as usize], EMPTY);
+        let mut n = bucket.head;
+        while n != NIL {
+            let node = self.nodes[n as usize];
+            f(node.id);
+            self.nodes[n as usize].next = self.free;
+            self.free = n;
+            n = node.next;
+        }
+    }
+
+    /// Drops everything pending. Only the buckets of the pending window
+    /// are touched; the slab keeps its capacity.
+    fn clear(&mut self, now: u64) {
+        for t in now..=self.horizon {
+            self.ring[(t & self.mask) as usize] = EMPTY;
+        }
+        self.nodes.clear();
+        self.free = NIL;
+        self.overflow.clear();
     }
 }
 
@@ -509,6 +646,66 @@ mod tests {
             .count() as u64;
         assert!(computes / mallocs >= 10_000);
         assert!(s.stats().mean_alloc_bytes() > 120.0);
+    }
+
+    #[test]
+    fn wheel_ring_is_bounded_independently_of_scale() {
+        // Rails at full size: 99 195-tick transactions whose
+        // cross-transaction deaths land up to five transactions ahead. The
+        // ring covers only in-transaction lifetimes; the rest overflow.
+        let mut s = TxStream::new(rails(), 1, 5);
+        assert!(s.deaths.ring.len() <= 2048, "{}", s.deaths.ring.len());
+        assert!(s.touches.ring.len() <= 2048, "{}", s.touches.ring.len());
+        for _ in 0..200_000 {
+            s.next_op();
+        }
+        assert!(
+            !s.deaths.overflow.is_empty(),
+            "cross-transaction deaths must go to the overflow"
+        );
+        assert!(s.deaths.ring.len() <= 2048 && s.touches.ring.len() <= 2048);
+        for scale in [16, 64, 1024] {
+            let s = TxStream::new(phpbb(), scale, 0);
+            assert!(s.deaths.ring.len() <= 2048);
+        }
+    }
+
+    #[test]
+    fn wheel_drains_each_tick_in_scheduling_order() {
+        // Span 4: tick 9 is beyond it from tick 1, within it from tick 6.
+        let mut w = Wheel::new(3);
+        assert_eq!(w.span(), 4);
+        w.push(1, 9, 10); // overflow
+        w.push(2, 9, 11); // overflow
+        w.push(2, 3, 12); // ring
+        w.push(3, 7, 13); // overflow
+        let mut drained = Vec::new();
+        for now in 3..=9 {
+            w.drain(now, |id| drained.push((now, id)));
+            if now == 6 {
+                w.push(6, 9, 14); // ring, after tick 6's cascade
+            }
+        }
+        assert_eq!(drained, [(3, 12), (7, 13), (9, 10), (9, 11), (9, 14)]);
+        assert!(w.overflow.is_empty());
+    }
+
+    #[test]
+    fn wheel_clear_drops_ring_and_overflow() {
+        let mut w = Wheel::new(3);
+        w.push(0, 2, 1);
+        w.push(0, 3, 2);
+        w.push(0, 40, 3);
+        w.clear(1);
+        for now in 1..=40 {
+            w.drain(now, |id| panic!("tick {now} kept id {id}"));
+        }
+        // The slab is reusable after a clear.
+        w.push(40, 42, 4);
+        let mut due = Vec::new();
+        w.drain(41, |id| due.push(id));
+        w.drain(42, |id| due.push(id));
+        assert_eq!(due, [4]);
     }
 
     #[test]
